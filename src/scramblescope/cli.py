@@ -12,7 +12,6 @@ import argparse
 import hashlib
 import json
 import math
-import os
 import sys
 from dataclasses import dataclass, field, fields
 from pathlib import Path
@@ -55,6 +54,18 @@ class UsageError(ValueError):
     """Bad configuration or flags; reported as a usage failure."""
 
 
+_TYPES = {"int": int, "float": (int, float), "str": str}
+
+
+def _type_ok(value, kind: str) -> bool:
+    """Whether a value fits a RunConfig annotation; a bool is not a number."""
+    if kind.startswith("list["):
+        return isinstance(value, list) and all(_type_ok(v, kind[5:-1]) for v in value)
+    if isinstance(value, bool) or not isinstance(value, _TYPES[kind]):
+        return False
+    return not isinstance(value, float) or math.isfinite(value)
+
+
 @dataclass
 class RunConfig:
     command: str
@@ -71,11 +82,11 @@ class RunConfig:
     format: str = "csv"
     initial: str | None = None
     policy: str = "windows_containing_x"
-    metrics: list = field(default_factory=lambda: ["chi2", "holevo", "chi_q"])
+    metrics: list[str] = field(default_factory=lambda: ["chi2", "holevo", "chi_q"])
     disorder_seed: int = 42
     disorder_width: float = MBL_W_DEFAULT
     pxp_boundary: str = "open_projected"
-    sample_counts: list = field(default_factory=lambda: [10, 50, 200])
+    sample_counts: list[int] = field(default_factory=lambda: [10, 50, 200])
     trials: int = 5
     cage_start: int | None = None
     cage_length: int = 3
@@ -85,12 +96,16 @@ class RunConfig:
     n_haar: int = 100000
 
     def __post_init__(self):
+        if self.seed is None:
+            raise UsageError("master seed must be set (no wall-clock seeding)")
+        for f in fields(self):
+            value, kind = getattr(self, f.name), f.type.removesuffix(" | None")
+            if not (value is None and kind != f.type or _type_ok(value, kind)):
+                raise UsageError(f"{f.name} must be of type {f.type}, got {value!r}")
         if self.command not in COMMANDS:
             raise UsageError(f"unknown command {self.command!r}")
         if self.format not in ("csv", "json"):
             raise UsageError(f"unknown format {self.format!r}")
-        if self.seed is None:
-            raise UsageError("master seed must be set (no wall-clock seeding)")
         needs_model = self.command in ("grid", "shadow-curve")
         if needs_model and self.model is None:
             raise UsageError("missing required field: model")
@@ -104,19 +119,10 @@ class RunConfig:
             raise UsageError("subsystem_size exceeds chain length")
 
 
-_FLAG_TO_KEY = {
-    "model": "model",
-    "length": "length",
-    "subsystem_size": "subsystem_size",
-    "site": "site",
-    "shots": "shots",
-    "batches": "batches",
-    "seed": "seed",
-    "tmax": "tmax",
-    "steps": "steps",
-    "out": "out",
-    "format": "format",
-}
+_FLAG_KEYS = (
+    "model", "length", "subsystem_size", "site", "shots", "batches", "seed",
+    "tmax", "steps", "out", "format",
+)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -154,10 +160,9 @@ def parse_config(argv) -> RunConfig:
             if key not in known or key == "command":
                 raise UsageError(f"unknown config key {key!r}")
             values[key] = value
-    for flag, key in _FLAG_TO_KEY.items():
-        flag_value = getattr(ns, flag if flag != "subsystem_size" else "subsystem_size")
-        if flag_value is not None:
-            values[key] = flag_value
+    for key in _FLAG_KEYS:
+        if getattr(ns, key) is not None:
+            values[key] = getattr(ns, key)
     try:
         return RunConfig(**values)
     except TypeError as exc:
@@ -252,8 +257,7 @@ def _cmd_grid(cfg: RunConfig, out_dir: Path) -> list[Path]:
         for ti, t in enumerate(result.time_grid):
             for ci, x in enumerate(result.sites):
                 rows.append((metric, float(t), int(x), float(result.values[mi, ti, ci])))
-    ext = "csv" if cfg.format == "csv" else "json"
-    path = out_dir / f"grid.{ext}"
+    path = out_dir / f"grid.{cfg.format}"
     _write_rows(path, ("metric", "t", "x", "value"), rows, cfg.format)
     _write_manifest(out_dir, cfg, {"scenario": result.metadata}, [path])
     return [path]
@@ -264,8 +268,7 @@ def _cmd_shadow_curve(cfg: RunConfig, out_dir: Path) -> list[Path]:
     scenario = _scenario(cfg, kind, ("chi2",), policy="all_subsets")
     rows = shadow_metric_curve(scenario)
     table = [(r["t"], r["L_A"], r["chi2_shadow"], r["chi2_exact"]) for r in rows]
-    ext = "csv" if cfg.format == "csv" else "json"
-    path = out_dir / f"shadow_curve.{ext}"
+    path = out_dir / f"shadow_curve.{cfg.format}"
     _write_rows(path, ("t", "L_A", "chi2_shadow", "chi2_exact"), table, cfg.format)
     _write_manifest(out_dir, cfg, {"scenario": scenario.scenario_echo()}, [path])
     return [path]
@@ -278,13 +281,12 @@ def _cmd_clifford_verify(cfg: RunConfig, out_dir: Path) -> list[Path]:
         (r["t"], r["L_A"], r["N"], r["trial"], r["chi2_est"], r["chi2_exact"])
         for r in rows
     ]
-    ext = "csv" if cfg.format == "csv" else "json"
-    path = out_dir / f"clifford_verify.{ext}"
+    path = out_dir / f"clifford_verify.{cfg.format}"
     _write_rows(
         path, ("t", "L_A", "N", "trial", "chi2_est", "chi2_exact"), table, cfg.format
     )
     summary = summarize_convergence(rows)
-    spath = out_dir / f"clifford_summary.{ext}"
+    spath = out_dir / f"clifford_summary.{cfg.format}"
     _write_rows(
         spath,
         ("t", "L_A", "N", "chi2_mean", "chi2_std", "chi2_exact"),
@@ -303,8 +305,7 @@ def _cmd_mbl_cage(cfg: RunConfig, out_dir: Path) -> list[Path]:
     cage = SiteSubset(range(start, start + cfg.cage_length))
     rows = mbl_cage_compare(cfg.length, cage, scenario, cfg.boundary_scale)
     table = [(r["t"], r["chi2_full"], r["chi2_cage"]) for r in rows]
-    ext = "csv" if cfg.format == "csv" else "json"
-    path = out_dir / f"mbl_cage.{ext}"
+    path = out_dir / f"mbl_cage.{cfg.format}"
     _write_rows(path, ("t", "chi2_full", "chi2_cage"), table, cfg.format)
     _write_manifest(
         out_dir,
@@ -426,14 +427,6 @@ _DISPATCH = {
     "mbl-cage": _cmd_mbl_cage,
     "identity-suite": _cmd_identity_suite,
 }
-
-
-def max_workers() -> int:
-    """Worker cap from SCRAMBLESCOPE_THREADS (execution is sequential today)."""
-    try:
-        return max(1, int(os.environ.get("SCRAMBLESCOPE_THREADS", "1")))
-    except ValueError:
-        return 1
 
 
 def run(cfg: RunConfig) -> int:

@@ -8,19 +8,21 @@ density matrix so that only unitary-sampling error is visible.
 
 from __future__ import annotations
 
-import itertools
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .evolve import evolve, make_propagator
+from .infotheory import chi2_from_purities
 from .models import build_hamiltonian
 from .qhilbert import DensityOperator, HADAMARD, PAULI_I, PHASE_S, SiteSubset, partial_trace
 from .scramble import ScrambleScenario, exact_chi2_pair, prepare_ensemble
 from .seeding import substream_rng
 
 _PHASE_TOL = 1e-10
+
+# Gates per random two-qubit circuit in the convergence experiment.
+CIRCUIT_DEPTH = 50
 
 
 @dataclass(frozen=True)
@@ -59,10 +61,6 @@ class CliffordCircuit:
 def _phase_canonical(u: np.ndarray) -> np.ndarray:
     flat = u.reshape(-1)
     pivot = flat[np.argmax(np.abs(flat) > _PHASE_TOL)]
-    for x in flat:
-        if abs(x) > _PHASE_TOL:
-            pivot = x
-            break
     return u / (pivot / abs(pivot))
 
 
@@ -170,13 +168,6 @@ def purity_from_basis_sampling(rho_A: DensityOperator, unitaries) -> float:
     return (d + 1) * (acc / len(unitaries)) - 1.0
 
 
-def _chi2_from_sampled_purities(p1: float, p2: float, pmix: float, d: int) -> float:
-    def q2(p):
-        return math.log(2.0 / (1.0 + min(max(p, 1.0 / d), 1.0)))
-
-    return q2(pmix) - 0.5 * (q2(p1) + q2(p2))
-
-
 def _scenario_subsystem(s: ScrambleScenario) -> SiteSubset:
     site, L = s.perturbation_site, s.model.n_sites
     if s.subsystem_size == 1:
@@ -190,14 +181,14 @@ def clifford_convergence_experiment(
     s: ScrambleScenario,
     sample_counts,
     n_trials: int,
-    circuit_depth: int = 50,
 ) -> list[dict]:
     """Sampled-chi2 convergence table for the scar-model scenario.
 
     For each time, trial and sample count N, the three subsystem purities are
     reconstructed from N sampled unitaries (uniform over the 24 Cliffords for
-    one-site subsystems, fresh depth-50 circuits for two-site ones), then
-    combined into chi2. Rows: (t, L_A, N, trial, chi2_est, chi2_exact).
+    one-site subsystems, fresh CIRCUIT_DEPTH-gate circuits for two-site
+    ones), then combined into chi2. Rows: (t, L_A, N, trial, chi2_est,
+    chi2_exact).
     """
     if s.model.kind != "PXP":
         raise ValueError("the convergence experiment targets the PXP scenario")
@@ -226,7 +217,7 @@ def clifford_convergence_experiment(
                     unitaries = [c1[i] for i in idx]
                 else:
                     unitaries = [
-                        random_clifford_circuit(2, circuit_depth, rng)[1]
+                        random_clifford_circuit(2, CIRCUIT_DEPTH, rng)[1]
                         for _ in range(n_samples)
                     ]
                 p1 = purity_from_basis_sampling(rho1, unitaries)
@@ -238,7 +229,7 @@ def clifford_convergence_experiment(
                         "L_A": len(subset),
                         "N": int(n_samples),
                         "trial": trial,
-                        "chi2_est": _chi2_from_sampled_purities(p1, p2, pm, d),
+                        "chi2_est": chi2_from_purities(p1, p2, pm, d),
                         "chi2_exact": exact,
                     }
                 )

@@ -45,7 +45,8 @@ def evolve(p: Propagator, psi0: StateVector, t: float) -> StateVector:
         raise ValueError("time must be finite")
     if psi0.dim != p.dim:
         raise ValueError(f"state dim {psi0.dim} does not match propagator dim {p.dim}")
-    coeffs = p.eigenvectors.conj().T @ psi0.amplitudes
+    # (psi^* V)^* = V^dag psi, without materialising V^dag.
+    coeffs = (psi0.amplitudes.conj() @ p.eigenvectors).conj()
     coeffs *= np.exp(-1j * p.eigenvalues * t)
     amps = p.eigenvectors @ coeffs
     return StateVector(psi0.n_sites, amps)

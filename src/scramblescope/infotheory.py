@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 import mpmath
 import numpy as np
-from scipy.stats import unitary_group
 
 from .qhilbert import DensityOperator, Spectrum, purity, spectrum_of
 
@@ -236,6 +235,19 @@ def chi2(e: Ensemble) -> float:
     return q2_purity(e.average()) - sum(p * q2_purity(rho) for p, rho in e.members)
 
 
+def chi2_from_purities(p1: float, p2: float, p_mix: float, d: int) -> float:
+    """chi2 of an equal-weight pair from its two purities and its mixture's.
+
+    Each purity is clamped to its physical range [1/d, 1] first, so that
+    estimated purities that stray outside it still give a finite value.
+    """
+
+    def q2(p):
+        return q2_from_purity_value(min(max(p, 1.0 / d), 1.0))
+
+    return q2(p_mix) - 0.5 * (q2(p1) + q2(p2))
+
+
 def random_density(d: int, rng: np.random.Generator, rank: int | None = None) -> DensityOperator:
     """Random mixed state from a normalized Ginibre matrix G G^dag."""
     if rank is None:
@@ -267,6 +279,19 @@ class HaarMoments:
     pure_se: float
 
 
+def _haar_unitaries(d: int, m: int, rng: np.random.Generator) -> np.ndarray:
+    """m Haar-random d x d unitaries: QR of complex Ginibre matrices, with
+    R's diagonal phases moved into Q so the distribution is exactly Haar.
+
+    The draws equal scipy.stats.unitary_group.rvs(d, m) for the same rng.
+    """
+    z = 1 / math.sqrt(2) * (rng.normal(size=(m, d, d)) + 1j * rng.normal(size=(m, d, d)))
+    q, r = np.linalg.qr(z)
+    diag = r.diagonal(axis1=-2, axis2=-1)
+    q *= (diag / abs(diag))[..., np.newaxis, :]
+    return q
+
+
 def haar_moment_mc(
     rho: DensityOperator,
     n_samples: int,
@@ -290,9 +315,7 @@ def haar_moment_mc(
     done = 0
     while done < n_samples:
         m = min(chunk, n_samples - done)
-        u = unitary_group.rvs(d, size=m, random_state=rng)
-        if m == 1:
-            u = u[None, :, :]
+        u = _haar_unitaries(d, m, rng)
         # basis vectors are the rows of each sampled unitary
         probs = np.einsum("nja,ab,njb->nj", u, rho.matrix, u.conj(), optimize=True).real
         marg[done : done + m] = np.sum(probs ** 2, axis=1)

@@ -7,19 +7,14 @@ chain projects flips onto blockade-respecting neighbors.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .qhilbert import (
-    HermitianOperator,
-    PAULI_X,
-    PAULI_Y,
-    PAULI_Z,
-    kron_embed,
-)
+from .qhilbert import HermitianOperator, PAULI_X, PAULI_Y, PAULI_Z
 
 MFIM_G_DEFAULT = (math.sqrt(5.0) + 5.0) / 8.0
 MFIM_H_DEFAULT = (math.sqrt(5.0) + 1.0) / 4.0
@@ -111,17 +106,39 @@ class ModelSpec:
                 raise ValueError("disorder length does not match chain length")
 
 
+def _chain_sum(L: int, terms) -> HermitianOperator:
+    """Dense sum of terms (coef, [(site, 2x2 op), ...]) on an L-site chain.
+
+    Sites within a term increase, and every unlisted site carries the
+    identity. A term therefore only connects basis states that agree on its
+    unlisted sites: its 2^k x 2^k local matrix is added at row base|r and
+    column base|c for every setting `base` of the unlisted bits, where r and
+    c set the term's own bits (site 0 is the most significant bit).
+    """
+    dim = 2 ** L
+    h = np.zeros((dim, dim), dtype=complex)
+    index = np.arange(dim)
+    for coef, ops in terms:
+        offsets = np.zeros(1, dtype=np.int64)
+        for site, _ in ops:
+            offsets = (offsets[:, None] + [0, 1 << (L - 1 - site)]).reshape(-1)
+        base = index[(index & offsets[-1]) == 0]
+        rows = base[:, None] + offsets
+        local = functools.reduce(np.kron, (op for _, op in ops))
+        h[rows[:, :, None], rows[:, None, :]] += coef * local
+    return HermitianOperator(dim, h)
+
+
+def _tfim_terms(L: int, J: float, g: float) -> list:
+    zz = [(J, [(i, PAULI_Z), (i + 1, PAULI_Z)]) for i in range(L - 1)]
+    return zz + [(g, [(i, PAULI_X)]) for i in range(L)]
+
+
 def build_tfim(L: int, J: float = 1.0, g: float = 0.6) -> HermitianOperator:
     """Transverse-field Ising chain: J sum_z z + g sum_x, open boundaries."""
     if L < 2:
         raise ValueError("TFIM needs L >= 2")
-    dim = 2 ** L
-    h = np.zeros((dim, dim), dtype=complex)
-    for i in range(L - 1):
-        h += J * kron_embed([(i, PAULI_Z), (i + 1, PAULI_Z)], L).matrix
-    for i in range(L):
-        h += g * kron_embed([(i, PAULI_X)], L).matrix
-    return HermitianOperator(dim, h)
+    return _chain_sum(L, _tfim_terms(L, J, g))
 
 
 def build_mfim(
@@ -133,11 +150,8 @@ def build_mfim(
     """Mixed-field Ising chain; the longitudinal field skips both edge sites."""
     if L < 3:
         raise ValueError("MFIM needs L >= 3")
-    dim = 2 ** L
-    m = build_tfim(L, J, g).matrix.copy()
-    for i in range(1, L - 1):
-        m += h * kron_embed([(i, PAULI_Z)], L).matrix
-    return HermitianOperator(dim, m)
+    fields = [(h, [(i, PAULI_Z)]) for i in range(1, L - 1)]
+    return _chain_sum(L, _tfim_terms(L, J, g) + fields)
 
 
 def build_mbl(
@@ -164,16 +178,16 @@ def build_mbl(
     if bond_scale.shape != (L - 1,):
         raise ValueError("bond_scale must have one entry per bond")
     sx, sy, sz = PAULI_X / 2.0, PAULI_Y / 2.0, PAULI_Z / 2.0
-    dim = 2 ** L
-    h = np.zeros((dim, dim), dtype=complex)
+    terms = []
     for i in range(L - 1):
         s = bond_scale[i]
-        h += s * J_perp * kron_embed([(i, sx), (i + 1, sx)], L).matrix
-        h += s * J_perp * kron_embed([(i, sy), (i + 1, sy)], L).matrix
-        h += s * J_z * kron_embed([(i, sz), (i + 1, sz)], L).matrix
-    for i in range(L):
-        h += disorder.fields[i] * kron_embed([(i, sz)], L).matrix
-    return HermitianOperator(dim, h)
+        terms += [
+            (s * J_perp, [(i, sx), (i + 1, sx)]),
+            (s * J_perp, [(i, sy), (i + 1, sy)]),
+            (s * J_z, [(i, sz), (i + 1, sz)]),
+        ]
+    terms += [(disorder.fields[i], [(i, sz)]) for i in range(L)]
+    return _chain_sum(L, terms)
 
 
 def build_pxp(L: int, boundary: str = "open_projected") -> HermitianOperator:
@@ -186,16 +200,11 @@ def build_pxp(L: int, boundary: str = "open_projected") -> HermitianOperator:
         raise ValueError("PXP needs L >= 3")
     if boundary not in ("open_projected", "bulk_only"):
         raise ValueError(f"unknown PXP boundary convention {boundary!r}")
-    dim = 2 ** L
-    h = np.zeros((dim, dim), dtype=complex)
-    for i in range(1, L - 1):
-        h += kron_embed(
-            [(i - 1, PXP_PROJECTOR), (i, PAULI_X), (i + 1, PXP_PROJECTOR)], L
-        ).matrix
+    p = PXP_PROJECTOR
+    terms = [(1.0, [(i - 1, p), (i, PAULI_X), (i + 1, p)]) for i in range(1, L - 1)]
     if boundary == "open_projected":
-        h += kron_embed([(0, PAULI_X), (1, PXP_PROJECTOR)], L).matrix
-        h += kron_embed([(L - 2, PXP_PROJECTOR), (L - 1, PAULI_X)], L).matrix
-    return HermitianOperator(dim, h)
+        terms += [(1.0, [(0, PAULI_X), (1, p)]), (1.0, [(L - 2, p), (L - 1, PAULI_X)])]
+    return _chain_sum(L, terms)
 
 
 def build_hamiltonian(spec: ModelSpec) -> HermitianOperator:

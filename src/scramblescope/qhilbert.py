@@ -9,7 +9,7 @@ All matrices are dense; the target scale is chains of at most ~12 sites.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -135,12 +135,10 @@ class DensityOperator:
 
 @dataclass(frozen=True)
 class HermitianOperator:
-    """Hermitian operator with an optional cached eigendecomposition."""
+    """Hermitian operator on a dim-dimensional space."""
 
     dim: int
     matrix: np.ndarray
-    eigenvalues: np.ndarray | None = field(default=None, compare=False)
-    eigenvectors: np.ndarray | None = field(default=None, compare=False)
 
     def __post_init__(self):
         m = _as_complex_array(self.matrix)
@@ -149,13 +147,6 @@ class HermitianOperator:
             raise ValueError(f"matrix shape {m.shape} does not match dim {self.dim}")
         if np.max(np.abs(m - m.conj().T)) > HERM_ATOL:
             raise ValueError("operator is not Hermitian")
-        if (self.eigenvalues is None) != (self.eigenvectors is None):
-            raise ValueError("eigencache needs both values and vectors")
-        if self.eigenvalues is not None:
-            v = self.eigenvectors
-            rebuilt = (v * self.eigenvalues) @ v.conj().T
-            if np.max(np.abs(rebuilt - m)) > 1e-8:
-                raise ValueError("cached eigendecomposition does not reconstruct H")
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import __version__ as _version
 from .evolve import Propagator, evolve, make_propagator
-from .infotheory import Ensemble, chi_q, holevo_chi, q2_from_purity_value
+from .infotheory import Ensemble, chi2_from_purities, chi_q, holevo_chi
 from .models import ModelSpec, build_hamiltonian
 from .qhilbert import (
     DensityOperator,
@@ -172,15 +172,10 @@ def qualifying_subsets(s: ScrambleScenario) -> list[SiteSubset]:
     return subsets
 
 
-def _mixed_density(rho1: DensityOperator, rho2: DensityOperator) -> DensityOperator:
-    return DensityOperator(rho1.dim, (rho1.matrix + rho2.matrix) / 2.0)
-
-
 def exact_chi2_pair(rho1: DensityOperator, rho2: DensityOperator) -> float:
-    mix = _mixed_density(rho1, rho2)
-    return q2_from_purity_value(purity(mix)) - 0.5 * (
-        q2_from_purity_value(purity(rho1)) + q2_from_purity_value(purity(rho2))
-    )
+    p1, p2 = purity(rho1), purity(rho2)
+    overlap = np.vdot(rho1.matrix, rho2.matrix).real
+    return chi2_from_purities(p1, p2, (p1 + p2 + 2.0 * overlap) / 4.0, rho1.dim)
 
 
 def _subset_metrics(

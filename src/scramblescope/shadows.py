@@ -9,12 +9,12 @@ aggregated by median-of-means.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
+from .infotheory import chi2_from_purities
 from .qhilbert import (
     HADAMARD,
     PAULI_I,
@@ -124,23 +124,6 @@ class ShadowSet:
         """Packed per-site records basis*2 + bit, shape (M, n_sites)."""
         return (self.bases.astype(np.int64) * 2 + self.outcomes).astype(np.int64)
 
-    @classmethod
-    def from_snapshots(
-        cls, snapshots: Sequence[Snapshot], source_label: str = "", seed=None
-    ) -> "ShadowSet":
-        if not snapshots:
-            raise ValueError("need at least one snapshot")
-        n = snapshots[0].n_sites
-        if any(s.n_sites != n for s in snapshots):
-            raise ValueError("snapshots must share one chain length")
-        return cls(
-            bases=np.stack([s.bases for s in snapshots]),
-            outcomes=np.stack([s.outcomes for s in snapshots]),
-            n_sites=n,
-            source_label=source_label,
-            seed=seed,
-        )
-
 
 @dataclass(frozen=True)
 class MoMConfig:
@@ -163,23 +146,27 @@ class MoMConfig:
             raise ValueError(f"batches of {self.batch_size} are too small")
 
 
+def _measure(state: StateVector, bases: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """Rotate each site into its Pauli basis, then draw the outcome bits."""
+    n = state.n_sites
+    amps = state.amplitudes
+    for site in range(n):
+        b = int(bases[site])
+        if b != BASIS_Z:
+            amps = _apply_local_unitary_raw(amps, n, site, _BASIS_ROTATIONS[b])
+    return _born_sample_raw(amps, n, rng)
+
+
 def sample_snapshot(
     state: StateVector,
     rng: np.random.Generator,
     bases: np.ndarray | None = None,
 ) -> Snapshot:
     """Measure every site in a random (or forced, for tests) Pauli basis."""
-    n = state.n_sites
     if bases is None:
-        bases = rng.integers(0, 3, size=n)
+        bases = rng.integers(0, 3, size=state.n_sites)
     bases = np.asarray(bases, dtype=np.uint8)
-    amps = state.amplitudes
-    for site in range(n):
-        b = int(bases[site])
-        if b != BASIS_Z:
-            amps = _apply_local_unitary_raw(amps, n, site, _BASIS_ROTATIONS[b])
-    outcomes = _born_sample_raw(amps, n, rng)
-    return Snapshot(bases, outcomes)
+    return Snapshot(bases, _measure(state, bases, rng))
 
 
 def sample_shadow_set(
@@ -189,16 +176,11 @@ def sample_shadow_set(
     source_label: str = "",
     seed: int | None = None,
 ) -> ShadowSet:
-    bases = rng.integers(0, 3, size=(n_snapshots, state.n_sites)).astype(np.uint8)
-    outcomes = np.empty((n_snapshots, state.n_sites), dtype=np.uint8)
     n = state.n_sites
+    bases = rng.integers(0, 3, size=(n_snapshots, n)).astype(np.uint8)
+    outcomes = np.empty((n_snapshots, n), dtype=np.uint8)
     for i in range(n_snapshots):
-        amps = state.amplitudes
-        for site in range(n):
-            b = int(bases[i, site])
-            if b != BASIS_Z:
-                amps = _apply_local_unitary_raw(amps, n, site, _BASIS_ROTATIONS[b])
-        outcomes[i] = _born_sample_raw(amps, n, rng)
+        outcomes[i] = _measure(state, bases[i], rng)
     return ShadowSet(bases, outcomes, n, source_label=source_label, seed=seed)
 
 
@@ -228,51 +210,61 @@ def median_of_means(samples, K: int) -> float:
     return float(np.median(means))
 
 
-def _subset_kernel_matrix(
-    codes_a: np.ndarray, codes_b: np.ndarray, sites: Iterable[int]
+def _checked_codes(sets, subsets, mom: MoMConfig, min_batch: int) -> list[np.ndarray]:
+    """Validate shadow sets, subsets and batching together; return packed codes."""
+    if len({s.n_sites for s in sets}) != 1:
+        raise ValueError("shadow sets come from different chain lengths")
+    for subset in subsets:
+        subset.validate_for(sets[0].n_sites)
+    mom.validate_available(min(len(s) for s in sets), min_batch=min_batch)
+    return [s.codes() for s in sets]
+
+
+def _kernel_medians(
+    codes_a: np.ndarray,
+    codes_b: np.ndarray,
+    subsets: Sequence[SiteSubset],
+    mom: MoMConfig,
+    same_set: bool,
 ) -> np.ndarray:
-    g = None
-    for site in sites:
-        k = _KERNEL_TABLE[codes_a[:, site][:, None], codes_b[:, site][None, :]]
-        g = k if g is None else g * k
-    return g
+    """Median over batches of each subset's mean snapshot-pair kernel.
 
-
-def _batch_slices(mom: MoMConfig):
-    return [
-        slice(k * mom.batch_size, (k + 1) * mom.batch_size)
-        for k in range(mom.n_batches)
-    ]
+    Within a batch the kernel of a subset is the elementwise product of the
+    single-site B x B kernel matrices, each formed once per batch and shared
+    by every subset. With same_set the two code arrays are one shadow set and
+    the diagonal (a snapshot paired with itself) is left out, which makes the
+    batch mean an unbiased U-statistic of Tr(rho_A^2); otherwise the batch
+    mean estimates the overlap Tr(rho1_A rho2_A).
+    """
+    sites = sorted({site for s in subsets for site in s})
+    nb = mom.batch_size
+    means = np.empty((len(subsets), mom.n_batches))
+    for k in range(mom.n_batches):
+        a, b = codes_a[k * nb : (k + 1) * nb], codes_b[k * nb : (k + 1) * nb]
+        kern = {s: _KERNEL_TABLE[a[:, s][:, None], b[:, s][None, :]] for s in sites}
+        for j, subset in enumerate(subsets):
+            g = None
+            for site in subset:
+                g = kern[site] if g is None else g * kern[site]
+            if same_set:
+                means[j, k] = (g.sum() - np.trace(g)) / (nb * (nb - 1))
+            else:
+                means[j, k] = g.mean()
+    return np.median(means, axis=1)
 
 
 def purity_estimate(shadows: ShadowSet, subset: SiteSubset, mom: MoMConfig) -> float:
     """Median-of-means U-statistic estimate of Tr(rho_A^2)."""
-    subset.validate_for(shadows.n_sites)
-    mom.validate_available(len(shadows), min_batch=2)
-    codes = shadows.codes()
-    means = []
-    for sl in _batch_slices(mom):
-        c = codes[sl]
-        g = _subset_kernel_matrix(c, c, subset)
-        b = c.shape[0]
-        means.append((g.sum() - np.trace(g)) / (b * (b - 1)))
-    return float(np.median(means))
+    (codes,) = _checked_codes([shadows], [subset], mom, min_batch=2)
+    return float(_kernel_medians(codes, codes, [subset], mom, same_set=True)[0])
 
 
 def overlap_estimate(
     shadows1: ShadowSet, shadows2: ShadowSet, subset: SiteSubset, mom: MoMConfig
 ) -> float:
     """Median-of-means estimate of the cross overlap Tr(rho1_A rho2_A)."""
-    if shadows1.n_sites != shadows2.n_sites:
-        raise ValueError("shadow sets come from different chain lengths")
-    subset.validate_for(shadows1.n_sites)
-    mom.validate_available(min(len(shadows1), len(shadows2)))
-    c1, c2 = shadows1.codes(), shadows2.codes()
-    means = []
-    for sl in _batch_slices(mom):
-        g = _subset_kernel_matrix(c1[sl], c2[sl], subset)
-        means.append(g.mean())
-    return float(np.median(means))
+    c1, c2 = _checked_codes([shadows1, shadows2], [subset], mom, min_batch=1)
+    return float(_kernel_medians(c1, c2, [subset], mom, same_set=False)[0])
 
 
 @dataclass(frozen=True)
@@ -283,19 +275,6 @@ class Chi2Estimate:
     purity1: float
     purity2: float
     overlap: float
-
-
-def _clamped_q2(p: float, n_subset: int) -> float:
-    lo = 2.0 ** (-n_subset)
-    return math.log(2.0 / (1.0 + min(max(p, lo), 1.0)))
-
-
-def _chi2_from_components(p1: float, p2: float, ov: float, n_subset: int) -> Chi2Estimate:
-    p_mix = (p1 + p2 + 2.0 * ov) / 4.0
-    value = _clamped_q2(p_mix, n_subset) - 0.5 * (
-        _clamped_q2(p1, n_subset) + _clamped_q2(p2, n_subset)
-    )
-    return Chi2Estimate(value=value, purity1=p1, purity2=p2, overlap=ov)
 
 
 def chi2_estimate(
@@ -309,10 +288,7 @@ def chi2_estimate(
     Purities are clamped to [2^-|A|, 1] before the logarithm, so the plug-in
     value can carry a small bias; the raw components are reported alongside.
     """
-    p1 = purity_estimate(shadows1, subset, mom)
-    p2 = purity_estimate(shadows2, subset, mom)
-    ov = overlap_estimate(shadows1, shadows2, subset, mom)
-    return _chi2_from_components(p1, p2, ov, len(subset))
+    return chi2_estimate_many(shadows1, shadows2, [subset], mom)[0]
 
 
 def chi2_estimate_many(
@@ -321,48 +297,20 @@ def chi2_estimate_many(
     subsets: Sequence[SiteSubset],
     mom: MoMConfig,
 ) -> list[Chi2Estimate]:
-    """chi2_estimate for many subsets, sharing per-site kernel matrices.
-
-    Equivalent to calling chi2_estimate per subset but computes each batch's
-    single-site kernel matrices once and reuses them across subsets.
-    """
-    if shadows1.n_sites != shadows2.n_sites:
-        raise ValueError("shadow sets come from different chain lengths")
-    for s in subsets:
-        s.validate_for(shadows1.n_sites)
-    mom.validate_available(min(len(shadows1), len(shadows2)), min_batch=2)
-    c1, c2 = shadows1.codes(), shadows2.codes()
-    sites = sorted({site for s in subsets for site in s})
-    n_sub = len(subsets)
-    means11 = np.empty((n_sub, mom.n_batches))
-    means22 = np.empty((n_sub, mom.n_batches))
-    means12 = np.empty((n_sub, mom.n_batches))
-    for k, sl in enumerate(_batch_slices(mom)):
-        a, b = c1[sl], c2[sl]
-        k11 = {s: _KERNEL_TABLE[a[:, s][:, None], a[:, s][None, :]] for s in sites}
-        k22 = {s: _KERNEL_TABLE[b[:, s][:, None], b[:, s][None, :]] for s in sites}
-        k12 = {s: _KERNEL_TABLE[a[:, s][:, None], b[:, s][None, :]] for s in sites}
-        nb = a.shape[0]
-        for j, subset in enumerate(subsets):
-            g11 = g22 = g12 = None
-            for site in subset:
-                g11 = k11[site] if g11 is None else g11 * k11[site]
-                g22 = k22[site] if g22 is None else g22 * k22[site]
-                g12 = k12[site] if g12 is None else g12 * k12[site]
-            means11[j, k] = (g11.sum() - np.trace(g11)) / (nb * (nb - 1))
-            means22[j, k] = (g22.sum() - np.trace(g22)) / (nb * (nb - 1))
-            means12[j, k] = g12.mean()
-    out = []
-    for j, subset in enumerate(subsets):
-        out.append(
-            _chi2_from_components(
-                float(np.median(means11[j])),
-                float(np.median(means22[j])),
-                float(np.median(means12[j])),
-                len(subset),
-            )
+    """chi2_estimate for many subsets, sharing per-site kernel matrices."""
+    c1, c2 = _checked_codes([shadows1, shadows2], subsets, mom, min_batch=2)
+    p1 = _kernel_medians(c1, c1, subsets, mom, same_set=True).tolist()
+    p2 = _kernel_medians(c2, c2, subsets, mom, same_set=True).tolist()
+    ov = _kernel_medians(c1, c2, subsets, mom, same_set=False).tolist()
+    return [
+        Chi2Estimate(
+            value=chi2_from_purities(a, b, (a + b + 2.0 * o) / 4.0, 2 ** len(subset)),
+            purity1=a,
+            purity2=b,
+            overlap=o,
         )
-    return out
+        for subset, a, b, o in zip(subsets, p1, p2, ov)
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -2,8 +2,14 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import scramblescope
 
 from scramblescope.cli import RunConfig, UsageError, main, parse_config, run
 
@@ -57,6 +63,33 @@ class TestParseConfig:
     def test_rejects_bad_format(self):
         with pytest.raises(UsageError):
             RunConfig(command="grid", model="tfim", length=4, format="xml")
+
+
+class TestConfigTypes:
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            {"seed": 1.7},
+            {"length": 4.0},
+            {"tmax": "1"},
+            {"metrics": "chi2"},
+            {"length": True},
+        ],
+    )
+    def test_wrong_type_is_usage_error(self, tmp_path, capsys, bad):
+        p = tmp_path / "c.json"
+        p.write_text(json.dumps({"model": "tfim", "length": 4, **bad}))
+        assert main(["grid", "--config", str(p), "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err.startswith("error: usage:")
+        assert not (tmp_path / "o").exists()
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    src = str(Path(scramblescope.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code = "import sys, scramblescope.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 class TestGridCommand:

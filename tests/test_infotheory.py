@@ -5,10 +5,13 @@ import math
 import numpy as np
 import pytest
 from scipy.linalg import logm
+from scipy.stats import unitary_group
 
 from scramblescope.infotheory import (
     Ensemble,
+    _haar_unitaries,
     chi2,
+    chi2_from_purities,
     chi_q,
     haar_moment_mc,
     holevo_chi,
@@ -229,6 +232,31 @@ class TestChi2:
             mix = DensityOperator(d, lam * a.matrix + (1 - lam) * b.matrix)
             gap = lam * q2_purity(a) + (1 - lam) * q2_purity(b) - q2_purity(mix)
             assert gap < 1e-12
+
+
+class TestChi2FromPurities:
+    def test_matches_ensemble_chi2(self):
+        rng = np.random.default_rng(11)
+        for d in (2, 4, 8):
+            a, b = random_density(d, rng), random_density(d, rng)
+            mix = DensityOperator(d, (a.matrix + b.matrix) / 2)
+            pa, pb, pm = (float(np.sum(np.abs(r.matrix) ** 2)) for r in (a, b, mix))
+            want = chi2(Ensemble([(0.5, a), (0.5, b)]))
+            assert abs(chi2_from_purities(pa, pb, pm, d) - want) < 1e-12
+
+    def test_clamps_to_physical_range(self):
+        # an estimate above 1 reads as a pure state, one below 1/d as maximally mixed
+        assert chi2_from_purities(1.3, 1.0, 0.2, 4) == chi2_from_purities(1.0, 1.0, 0.25, 4)
+        assert chi2_from_purities(1.0, 1.0, 0.5, 2) == pytest.approx(math.log(4 / 3))
+
+
+class TestHaarUnitaries:
+    @pytest.mark.parametrize("d", [2, 4])
+    @pytest.mark.parametrize("m", [1, 3, 4096])
+    def test_same_draws_as_scipy_unitary_group(self, d, m):
+        got = _haar_unitaries(d, m, np.random.default_rng(12))
+        want = unitary_group.rvs(d, size=m, random_state=np.random.default_rng(12))
+        assert np.array_equal(got, want.reshape(m, d, d))
 
 
 class TestHaarMoments:

@@ -22,6 +22,7 @@ from scramblescope.qhilbert import (
     PAULI_Y,
     PAULI_Z,
     bit_of,
+    kron_embed,
 )
 
 
@@ -204,3 +205,55 @@ class TestModelSpec:
             ModelSpec("MBL", 4)
         with pytest.raises(ValueError):
             ModelSpec("MBL", 4, disorder=draw_disorder(3))
+
+
+def _pxp_terms(L, edges):
+    p = PXP_PROJECTOR
+    terms = [(1.0, [(i - 1, p), (i, PAULI_X), (i + 1, p)]) for i in range(1, L - 1)]
+    if edges:
+        terms += [(1.0, [(0, PAULI_X), (1, p)]), (1.0, [(L - 2, p), (L - 1, PAULI_X)])]
+    return terms
+
+
+def _mbl_terms(L, fields, scale):
+    sx, sy, sz = PAULI_X / 2.0, PAULI_Y / 2.0, PAULI_Z / 2.0
+    terms = []
+    for i in range(L - 1):
+        terms += [(scale[i] * 0.7, [(i, s), (i + 1, s)]) for s in (sx, sy)]
+        terms.append((scale[i] * 1.3, [(i, sz), (i + 1, sz)]))
+    return terms + [(fields[i], [(i, sz)]) for i in range(L)]
+
+
+def _ising_terms(L, J, g, h=0.0):
+    terms = [(J, [(i, PAULI_Z), (i + 1, PAULI_Z)]) for i in range(L - 1)]
+    terms += [(g, [(i, PAULI_X)]) for i in range(L)]
+    if h:
+        terms += [(h, [(i, PAULI_Z)]) for i in range(1, L - 1)]
+    return terms
+
+
+_L = 6
+_DIS = draw_disorder(_L, seed=7)
+_SCALE = np.array([1.0, 0.5, 0.0, 2.0, 1.0])
+
+
+@pytest.mark.parametrize(
+    "got, terms",
+    [
+        (lambda: build_tfim(_L, 0.7, 1.3), _ising_terms(_L, 0.7, 1.3)),
+        (lambda: build_mfim(_L), _ising_terms(_L, 1.0, MFIM_G_DEFAULT, MFIM_H_DEFAULT)),
+        (
+            lambda: build_mbl(_L, J_perp=0.7, J_z=1.3, disorder=_DIS, bond_scale=_SCALE),
+            _mbl_terms(_L, _DIS.fields, _SCALE),
+        ),
+        (lambda: build_pxp(_L), _pxp_terms(_L, edges=True)),
+        (lambda: build_pxp(_L, boundary="bulk_only"), _pxp_terms(_L, edges=False)),
+    ],
+    ids=["tfim", "mfim", "mbl-bond-scale", "pxp", "pxp-bulk-only"],
+)
+def test_builders_equal_kron_embed_sum_exactly(got, terms):
+    # the builders add the same terms in the same order as this dense sum
+    want = np.zeros((2**_L, 2**_L), dtype=complex)
+    for coef, ops in terms:
+        want += coef * kron_embed(ops, _L).matrix
+    assert np.array_equal(got().matrix, want)
