@@ -54,7 +54,8 @@ class UsageError(ValueError):
     """Bad configuration or flags; reported as a usage failure."""
 
 
-_TYPES = {"int": int, "float": (int, float), "str": str}
+# Accepted Python types per annotation; a flag's text is parsed by the last one.
+_TYPES = {"int": (int,), "float": (int, float), "str": (str,)}
 
 
 def _type_ok(value, kind: str) -> bool:
@@ -117,6 +118,10 @@ class RunConfig:
             raise UsageError(f"unknown model {self.model!r}")
         if self.length is not None and self.subsystem_size > self.length:
             raise UsageError("subsystem_size exceeds chain length")
+        if self.batches < 1 or self.trials < 1:
+            raise UsageError("batches and trials must be at least 1")
+        if not self.sample_counts or min(self.sample_counts) < 1:
+            raise UsageError("sample_counts must be a non-empty list of counts >= 1")
 
 
 _FLAG_KEYS = (
@@ -132,17 +137,10 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("command", choices=COMMANDS)
     p.add_argument("--config", type=str, default=None, help="JSON config file")
-    p.add_argument("--model", type=str)
-    p.add_argument("--length", type=int)
-    p.add_argument("--subsystem-size", dest="subsystem_size", type=int)
-    p.add_argument("--site", type=int)
-    p.add_argument("--shots", type=int)
-    p.add_argument("--batches", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--tmax", type=float)
-    p.add_argument("--steps", type=int)
-    p.add_argument("--out", type=str)
-    p.add_argument("--format", type=str)
+    annotations = {f.name: f.type.removesuffix(" | None") for f in fields(RunConfig)}
+    for key in _FLAG_KEYS:
+        flag = "--" + key.replace("_", "-")
+        p.add_argument(flag, dest=key, type=_TYPES[annotations[key]][-1])
     return p
 
 
@@ -213,17 +211,14 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def _write_csv(path: Path, header, rows) -> None:
-    lines = [",".join(header)]
-    lines += [",".join(_fmt(v) for v in row) for row in rows]
-    path.write_text("\n".join(lines) + "\n")
-
-
 def _write_rows(path: Path, header, rows, fmt: str) -> None:
+    """Write dict rows as CSV or as a JSON list of records, in header order."""
     if fmt == "csv":
-        _write_csv(path, header, rows)
+        lines = [",".join(header)]
+        lines += [",".join(_fmt(row[k]) for k in header) for row in rows]
+        path.write_text("\n".join(lines) + "\n")
     else:
-        records = [dict(zip(header, row)) for row in rows]
+        records = [{k: row[k] for k in header} for row in rows]
         path.write_text(json.dumps(records, indent=1) + "\n")
 
 
@@ -245,75 +240,55 @@ def _write_manifest(out_dir: Path, cfg: RunConfig, extra: dict, outputs) -> None
 
 
 # ---------------------------------------------------------------------------
-# Commands.
+# Commands. Each table command returns ({file stem: (header, rows)}, manifest
+# extras); `run` writes the tables and the manifest.
 
 
-def _cmd_grid(cfg: RunConfig, out_dir: Path) -> list[Path]:
+def _cmd_grid(cfg: RunConfig):
     kind = _MODEL_KINDS[cfg.model.lower()]
-    scenario = _scenario(cfg, kind, cfg.metrics)
-    result = exact_metric_grid(scenario)
-    rows = []
-    for mi, metric in enumerate(result.metrics):
-        for ti, t in enumerate(result.time_grid):
-            for ci, x in enumerate(result.sites):
-                rows.append((metric, float(t), int(x), float(result.values[mi, ti, ci])))
-    path = out_dir / f"grid.{cfg.format}"
-    _write_rows(path, ("metric", "t", "x", "value"), rows, cfg.format)
-    _write_manifest(out_dir, cfg, {"scenario": result.metadata}, [path])
-    return [path]
+    result = exact_metric_grid(_scenario(cfg, kind, cfg.metrics))
+    rows = [
+        {"metric": metric, "t": float(t), "x": int(x), "value": float(result.values[mi, ti, ci])}
+        for mi, metric in enumerate(result.metrics)
+        for ti, t in enumerate(result.time_grid)
+        for ci, x in enumerate(result.sites)
+    ]
+    return {"grid": (("metric", "t", "x", "value"), rows)}, {"scenario": result.metadata}
 
 
-def _cmd_shadow_curve(cfg: RunConfig, out_dir: Path) -> list[Path]:
+def _cmd_shadow_curve(cfg: RunConfig):
     kind = _MODEL_KINDS[cfg.model.lower()]
     scenario = _scenario(cfg, kind, ("chi2",), policy="all_subsets")
     rows = shadow_metric_curve(scenario)
-    table = [(r["t"], r["L_A"], r["chi2_shadow"], r["chi2_exact"]) for r in rows]
-    path = out_dir / f"shadow_curve.{cfg.format}"
-    _write_rows(path, ("t", "L_A", "chi2_shadow", "chi2_exact"), table, cfg.format)
-    _write_manifest(out_dir, cfg, {"scenario": scenario.scenario_echo()}, [path])
-    return [path]
+    header = ("t", "L_A", "chi2_shadow", "chi2_exact")
+    # The shots % batches remainder is sampled but falls outside every batch.
+    used = cfg.batches * (cfg.shots // cfg.batches)
+    extra = {"scenario": scenario.scenario_echo(), "snapshots_used_per_state": used}
+    return {"shadow_curve": (header, rows)}, extra
 
 
-def _cmd_clifford_verify(cfg: RunConfig, out_dir: Path) -> list[Path]:
+def _cmd_clifford_verify(cfg: RunConfig):
     scenario = _scenario(cfg, "PXP", ("chi2",))
     rows = clifford_convergence_experiment(scenario, cfg.sample_counts, cfg.trials)
-    table = [
-        (r["t"], r["L_A"], r["N"], r["trial"], r["chi2_est"], r["chi2_exact"])
-        for r in rows
-    ]
-    path = out_dir / f"clifford_verify.{cfg.format}"
-    _write_rows(
-        path, ("t", "L_A", "N", "trial", "chi2_est", "chi2_exact"), table, cfg.format
-    )
-    summary = summarize_convergence(rows)
-    spath = out_dir / f"clifford_summary.{cfg.format}"
-    _write_rows(
-        spath,
-        ("t", "L_A", "N", "chi2_mean", "chi2_std", "chi2_exact"),
-        [(r["t"], r["L_A"], r["N"], r["chi2_mean"], r["chi2_std"], r["chi2_exact"]) for r in summary],
-        cfg.format,
-    )
-    _write_manifest(out_dir, cfg, {"scenario": scenario.scenario_echo()}, [path, spath])
-    return [path, spath]
+    tables = {
+        "clifford_verify": (("t", "L_A", "N", "trial", "chi2_est", "chi2_exact"), rows),
+        "clifford_summary": (
+            ("t", "L_A", "N", "chi2_mean", "chi2_std", "chi2_exact"),
+            summarize_convergence(rows),
+        ),
+    }
+    return tables, {"scenario": scenario.scenario_echo()}
 
 
-def _cmd_mbl_cage(cfg: RunConfig, out_dir: Path) -> list[Path]:
+def _cmd_mbl_cage(cfg: RunConfig):
     scenario = _scenario(cfg, "MBL", ("chi2",))
     start = cfg.cage_start
     if start is None:
         start = scenario.perturbation_site - cfg.cage_length // 2
     cage = SiteSubset(range(start, start + cfg.cage_length))
     rows = mbl_cage_compare(cfg.length, cage, scenario, cfg.boundary_scale)
-    table = [(r["t"], r["chi2_full"], r["chi2_cage"]) for r in rows]
-    path = out_dir / f"mbl_cage.{cfg.format}"
-    _write_rows(path, ("t", "chi2_full", "chi2_cage"), table, cfg.format)
-    _write_manifest(
-        out_dir,
-        cfg,
-        {"scenario": scenario.scenario_echo(), "cage_sites": list(cage.indices)},
-        [path],
-    )
-    return [path]
+    extra = {"scenario": scenario.scenario_echo(), "cage_sites": list(cage.indices)}
+    return {"mbl_cage": (("t", "chi2_full", "chi2_cage"), rows)}, extra
 
 
 def run_identity_suites(
@@ -410,29 +385,36 @@ def run_identity_suites(
     return suites
 
 
-def _cmd_identity_suite(cfg: RunConfig, out_dir: Path) -> list[Path]:
+def _cmd_identity_suite(cfg: RunConfig, out_dir: Path) -> None:
+    """Write the identity report (always JSON) and its manifest."""
     report = run_identity_suites(cfg.seed, cfg.n_spectra, cfg.n_triples, cfg.n_haar)
     path = out_dir / "identity_suite.json"
     path.write_text(json.dumps(report, indent=1, sort_keys=True) + "\n")
     _write_manifest(out_dir, cfg, {}, [path])
     if not report["pass"]:
         raise RuntimeError("identity suite reported failures")
-    return [path]
 
 
-_DISPATCH = {
+_TABLE_COMMANDS = {
     "grid": _cmd_grid,
     "shadow-curve": _cmd_shadow_curve,
     "clifford-verify": _cmd_clifford_verify,
     "mbl-cage": _cmd_mbl_cage,
-    "identity-suite": _cmd_identity_suite,
 }
 
 
 def run(cfg: RunConfig) -> int:
     out_dir = Path(cfg.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    _DISPATCH[cfg.command](cfg, out_dir)
+    if cfg.command == "identity-suite":
+        _cmd_identity_suite(cfg, out_dir)
+        return 0
+    tables, extra = _TABLE_COMMANDS[cfg.command](cfg)
+    paths = []
+    for stem, (header, rows) in tables.items():
+        paths.append(out_dir / f"{stem}.{cfg.format}")
+        _write_rows(paths[-1], header, rows, cfg.format)
+    _write_manifest(out_dir, cfg, extra, paths)
     return 0
 
 

@@ -30,7 +30,6 @@ class CliffordElement:
     """One of the 24 phase-distinct single-qubit Clifford unitaries."""
 
     matrix: np.ndarray
-    label: int
 
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=complex)
@@ -86,7 +85,7 @@ def enumerate_c1() -> list[CliffordElement]:
     elements = list(seen.values())
     if len(elements) != 24:
         raise ArithmeticError(f"Clifford enumeration found {len(elements)} elements")
-    return [CliffordElement(m, i) for i, m in enumerate(elements)]
+    return [CliffordElement(m) for m in elements]
 
 
 def same_up_to_phase(a: np.ndarray, b: np.ndarray, atol: float = 1e-10) -> bool:
@@ -94,10 +93,6 @@ def same_up_to_phase(a: np.ndarray, b: np.ndarray, atol: float = 1e-10) -> bool:
 
 
 _GATE_MATS = {"H": HADAMARD, "S": PHASE_S}
-
-_CNOT = np.array(
-    [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex
-)
 
 
 def _gate_unitary(name: str, sites: tuple, n_qubits: int) -> np.ndarray:

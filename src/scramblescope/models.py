@@ -26,6 +26,10 @@ PXP_PROJECTOR = (np.eye(2, dtype=complex) - PAULI_Z) / 2.0
 
 _GENERATORS = ("pcg64",)
 
+# Largest chain held as a dense matrix. At 14 sites H alone takes 4 GiB of
+# complex128, and diagonalising it holds several matrices of that size.
+MAX_DENSE_SITES = 13
+
 
 @dataclass(frozen=True)
 class DisorderRealization:
@@ -115,6 +119,10 @@ def _chain_sum(L: int, terms) -> HermitianOperator:
     column base|c for every setting `base` of the unlisted bits, where r and
     c set the term's own bits (site 0 is the most significant bit).
     """
+    if L > MAX_DENSE_SITES:
+        raise ValueError(
+            f"an L={L} chain exceeds the dense limit of {MAX_DENSE_SITES} sites"
+        )
     dim = 2 ** L
     h = np.zeros((dim, dim), dtype=complex)
     index = np.arange(dim)

@@ -4,7 +4,8 @@ Conventions used throughout the package: site 0 is the leftmost chain site
 and the most significant bit of a computational-basis index; bit value 0
 means spin up, i.e. the +1 eigenstate of sigma_z.
 
-All matrices are dense; the target scale is chains of at most ~12 sites.
+All matrices are dense. Hamiltonians are refused above 13 sites
+(`models.MAX_DENSE_SITES`): at 14 sites one complex128 matrix takes 4 GiB.
 """
 
 from __future__ import annotations

@@ -9,13 +9,14 @@ tracking experiments.
 from __future__ import annotations
 
 import itertools
+import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import __version__ as _version
-from .evolve import Propagator, evolve, make_propagator
+from .evolve import evolve, make_propagator
 from .infotheory import Ensemble, chi2_from_purities, chi_q, holevo_chi
 from .models import ModelSpec, build_hamiltonian
 from .qhilbert import (
@@ -103,13 +104,7 @@ class ScrambleScenario:
             "version": _version,
         }
         if self.model.disorder is not None:
-            dis = self.model.disorder
-            d["disorder"] = {
-                "fields": [float(x) for x in dis.fields],
-                "seed": dis.seed,
-                "generator_id": dis.generator_id,
-                "W": dis.width,
-            }
+            d["disorder"] = json.loads(self.model.disorder.to_json())
         return d
 
 
@@ -151,9 +146,20 @@ def prepare_ensemble(s: ScrambleScenario) -> tuple[StateVector, StateVector]:
                 f"site {s.perturbation_site} is inactive and the flip would "
                 "exit the blockade-respecting subspace"
             )
-    psi1 = basis_state(s.model.n_sites, bits)
-    psi2 = apply_local_unitary(psi1, s.perturbation_site, PAULI_X)
-    return psi1, psi2
+    return _flip_pair(bits, s.perturbation_site)
+
+
+def _flip_pair(bits, site: int) -> tuple[StateVector, StateVector]:
+    """Basis product state and its flip at one site."""
+    psi = basis_state(len(bits), bits)
+    return psi, apply_local_unitary(psi, site, PAULI_X)
+
+
+def _trajectory(h, pair, time_grid):
+    """Yield the evolved pair (psi1, psi2) at each time, from one propagator."""
+    prop = make_propagator(h)
+    for t in time_grid:
+        yield evolve(prop, pair[0], t), evolve(prop, pair[1], t)
 
 
 def qualifying_subsets(s: ScrambleScenario) -> list[SiteSubset]:
@@ -178,11 +184,9 @@ def exact_chi2_pair(rho1: DensityOperator, rho2: DensityOperator) -> float:
     return chi2_from_purities(p1, p2, (p1 + p2 + 2.0 * overlap) / 4.0, rho1.dim)
 
 
-def _subset_metrics(
-    psi1: StateVector, psi2: StateVector, subset: SiteSubset, metrics
-) -> dict:
-    rho1 = partial_trace(psi1, subset)
-    rho2 = partial_trace(psi2, subset)
+def _subset_metrics(pair, subset: SiteSubset, metrics) -> dict:
+    rho1 = partial_trace(pair[0], subset)
+    rho2 = partial_trace(pair[1], subset)
     out = {}
     if "chi2" in metrics:
         out["chi2"] = exact_chi2_pair(rho1, rho2)
@@ -204,9 +208,7 @@ def exact_metric_grid(s: ScrambleScenario) -> GridResult:
     """
     if not s.metrics:
         raise ValueError("scenario requests no metrics")
-    h = build_hamiltonian(s.model)
-    prop = make_propagator(h)
-    psi1_0, psi2_0 = prepare_ensemble(s)
+    states = _trajectory(build_hamiltonian(s.model), prepare_ensemble(s), s.time_grid)
     subsets = qualifying_subsets(s)
     L = s.model.n_sites
     if s.subset_policy == "windows_containing_x":
@@ -218,10 +220,8 @@ def exact_metric_grid(s: ScrambleScenario) -> GridResult:
         sites = (0,)
         owners = [list(range(len(subsets)))]
     values = np.zeros((len(s.metrics), len(s.time_grid), len(sites)))
-    for ti, t in enumerate(s.time_grid):
-        psi1 = evolve(prop, psi1_0, t)
-        psi2 = evolve(prop, psi2_0, t)
-        per_subset = [_subset_metrics(psi1, psi2, sub, s.metrics) for sub in subsets]
+    for ti, pair in enumerate(states):
+        per_subset = [_subset_metrics(pair, sub, s.metrics) for sub in subsets]
         for mi, metric in enumerate(s.metrics):
             vals = np.array([pm[metric] for pm in per_subset])
             for ci, owner in enumerate(owners):
@@ -254,37 +254,23 @@ def shadow_metric_curve(s: ScrambleScenario, subsystem_sizes=None) -> list[dict]
     if subsystem_sizes is None:
         subsystem_sizes = (s.subsystem_size,)
     mom = MoMConfig(n_batches=s.n_batches, batch_size=s.shots // s.n_batches)
-    h = build_hamiltonian(s.model)
-    prop = make_propagator(h)
-    psi1_0, psi2_0 = prepare_ensemble(s)
-    L = s.model.n_sites
-    subsets_by_size = {}
-    for k in subsystem_sizes:
-        count = math.comb(L, k)
-        if count > s.subset_cap:
-            raise RuntimeError(f"{count} subsets exceed cap {s.subset_cap}")
-        subsets_by_size[k] = [
-            SiteSubset(c) for c in itertools.combinations(range(L), k)
-        ]
+    states = _trajectory(build_hamiltonian(s.model), prepare_ensemble(s), s.time_grid)
+    subsets_by_size = [
+        (k, qualifying_subsets(replace(s, subsystem_size=k, subset_policy="all_subsets")))
+        for k in subsystem_sizes
+    ]
     rows = []
-    for ti, t in enumerate(s.time_grid):
-        psi1 = evolve(prop, psi1_0, t)
-        psi2 = evolve(prop, psi2_0, t)
-        set1 = sample_shadow_set(
-            psi1, s.shots, substream_rng(s.master_seed, "shadow:state1", ti),
-            source_label="state1", seed=s.master_seed,
-        )
-        set2 = sample_shadow_set(
-            psi2, s.shots, substream_rng(s.master_seed, "shadow:state2", ti),
-            source_label="state2", seed=s.master_seed,
-        )
-        for k in subsystem_sizes:
-            subsets = subsets_by_size[k]
-            ests = chi2_estimate_many(set1, set2, subsets, mom)
-            exact = max(
-                exact_chi2_pair(partial_trace(psi1, sub), partial_trace(psi2, sub))
-                for sub in subsets
+    for ti, (t, pair) in enumerate(zip(s.time_grid, states)):
+        set1, set2 = (
+            sample_shadow_set(
+                psi, s.shots, substream_rng(s.master_seed, f"shadow:{label}", ti),
+                source_label=label, seed=s.master_seed,
             )
+            for psi, label in zip(pair, ("state1", "state2"))
+        )
+        for k, subsets in subsets_by_size:
+            ests = chi2_estimate_many(set1, set2, subsets, mom)
+            exact = max(_subset_metrics(pair, sub, ("chi2",))["chi2"] for sub in subsets)
             rows.append(
                 {
                     "t": float(t),
@@ -320,7 +306,9 @@ def mbl_cage_compare(
     on the bonds crossing the cage boundary of the full chain; 0 severs them
     (exact decoupling control).
     """
-    from .models import build_mbl  # local import to keep module deps one-way
+    # Read from `models` on each call, so that a rebinding of
+    # `models.build_mbl` (perfbench's tracer wraps it) is seen here.
+    from .models import build_mbl
 
     if s.model.kind != "MBL":
         raise ValueError("cage comparison is defined for the MBL model")
@@ -346,44 +334,23 @@ def mbl_cage_compare(
         disorder=disorder,
         bond_scale=bond_scale,
     )
-    from .models import DisorderRealization
-
-    cage_disorder = DisorderRealization(
-        fields=disorder.fields[list(idx)],
-        seed=disorder.seed,
-        generator_id=disorder.generator_id,
-        width=disorder.width,
-    )
     h_cage = build_mbl(
         len(idx),
         J_perp=c.get("J_perp", 1.0),
         J_z=c.get("J_z", 1.0),
-        disorder=cage_disorder,
+        disorder=replace(disorder, fields=disorder.fields[list(idx)]),
     )
     bits = _initial_bits(s.initial_kind, L_full)
-    psi1_full = basis_state(L_full, bits)
-    psi2_full = apply_local_unitary(psi1_full, s.perturbation_site, PAULI_X)
-    cage_bits = [bits[i] for i in idx]
-    rel_site = idx.index(s.perturbation_site)
-    psi1_cage = basis_state(len(idx), cage_bits)
-    psi2_cage = apply_local_unitary(psi1_cage, rel_site, PAULI_X)
+    cage_pair = _flip_pair([bits[i] for i in idx], idx.index(s.perturbation_site))
     window = _cage_window(cage_sites, s.perturbation_site, s.subsystem_size)
     window_rel = SiteSubset(idx.index(x) for x in window)
-    prop_full = make_propagator(h_full)
-    prop_cage = make_propagator(h_cage)
-    rows = []
-    for t in s.time_grid:
-        f1, f2 = evolve(prop_full, psi1_full, t), evolve(prop_full, psi2_full, t)
-        c1, c2 = evolve(prop_cage, psi1_cage, t), evolve(prop_cage, psi2_cage, t)
-        rows.append(
-            {
-                "t": float(t),
-                "chi2_full": exact_chi2_pair(
-                    partial_trace(f1, window), partial_trace(f2, window)
-                ),
-                "chi2_cage": exact_chi2_pair(
-                    partial_trace(c1, window_rel), partial_trace(c2, window_rel)
-                ),
-            }
-        )
-    return rows
+    full = _trajectory(h_full, prepare_ensemble(s), s.time_grid)
+    cage = _trajectory(h_cage, cage_pair, s.time_grid)
+    return [
+        {
+            "t": float(t),
+            "chi2_full": _subset_metrics(in_chain, window, ("chi2",))["chi2"],
+            "chi2_cage": _subset_metrics(isolated, window_rel, ("chi2",))["chi2"],
+        }
+        for t, in_chain, isolated in zip(s.time_grid, full, cage)
+    ]

@@ -77,9 +77,25 @@ class TestConfigTypes:
         ],
     )
     def test_wrong_type_is_usage_error(self, tmp_path, capsys, bad):
+        self._assert_usage_error(tmp_path, capsys, "grid", bad)
+
+    @pytest.mark.parametrize(
+        "command,bad",
+        [
+            ("shadow-curve", {"shots": 100, "batches": 0}),
+            ("clifford-verify", {"trials": 0}),
+            ("clifford-verify", {"sample_counts": []}),
+            ("clifford-verify", {"sample_counts": [10, 0]}),
+        ],
+    )
+    def test_bad_count_is_usage_error(self, tmp_path, capsys, command, bad):
+        self._assert_usage_error(tmp_path, capsys, command, bad)
+
+    @staticmethod
+    def _assert_usage_error(tmp_path, capsys, command, bad):
         p = tmp_path / "c.json"
         p.write_text(json.dumps({"model": "tfim", "length": 4, **bad}))
-        assert main(["grid", "--config", str(p), "--out", str(tmp_path / "o")]) == 2
+        assert main([command, "--config", str(p), "--out", str(tmp_path / "o")]) == 2
         assert capsys.readouterr().err.startswith("error: usage:")
         assert not (tmp_path / "o").exists()
 
@@ -120,6 +136,26 @@ class TestGridCommand:
         records = json.loads((out / "grid.json").read_text())
         assert records[0].keys() == {"metric", "t", "x", "value"}
 
+    @pytest.mark.parametrize(
+        "args,stems",
+        [
+            (["grid", "--model", "tfim"], ["grid"]),
+            (["clifford-verify"], ["clifford_verify", "clifford_summary"]),
+        ],
+    )
+    def test_json_matches_csv(self, tmp_path, args, stems):
+        common = args + ["--length", "4", "--subsystem-size", "1", "--tmax", "1", "--steps", "2"]
+        for fmt in ("csv", "json"):
+            run(parse_config(common + ["--out", str(tmp_path / fmt), "--format", fmt]))
+        for stem in stems:
+            header, *lines = (tmp_path / "csv" / f"{stem}.csv").read_text().splitlines()
+            records = json.loads((tmp_path / "json" / f"{stem}.json").read_text())
+            assert len(records) == len(lines) > 0
+            for record, line in zip(records, lines):
+                assert list(record) == header.split(",")
+                for value, text in zip(record.values(), line.split(",")):
+                    assert text == (f"{value:.12g}" if isinstance(value, float) else str(value))
+
     def test_deterministic_rerun(self, tmp_path):
         args = ["grid", "--model", "mbl", "--length", "5", "--tmax", "2",
                 "--steps", "3", "--seed", "4"]
@@ -142,6 +178,14 @@ class TestShadowCurveCommand:
         lines = body1.decode().splitlines()
         assert lines[0] == "t,L_A,chi2_shadow,chi2_exact"
         assert len(lines) == 3
+
+    def test_manifest_counts_used_snapshots(self, tmp_path):
+        out = tmp_path / "o"
+        run(parse_config(["shadow-curve", "--model", "tfim", "--length", "4",
+                          "--subsystem-size", "1", "--shots", "205", "--steps", "1",
+                          "--out", str(out)]))
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["snapshots_used_per_state"] == 200  # 10 batches of 20
 
 
 class TestMblCageCommand:
@@ -192,3 +236,10 @@ class TestMainErrors:
 
     def test_bad_config_file(self, tmp_path, capsys):
         assert main(["grid", "--config", str(tmp_path / "missing.json")]) == 2
+
+    def test_chain_above_dense_limit_is_refused(self, tmp_path, capsys):
+        args = ["grid", "--model", "tfim", "--length", "22", "--out", str(tmp_path / "o")]
+        assert main(args) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ValueError:") and "dense limit" in err
+        assert "Traceback" not in err

@@ -66,6 +66,11 @@ class TestTFIM:
         with pytest.raises(ValueError):
             build_tfim(1)
 
+    def test_refuses_chain_above_dense_limit(self):
+        # Refused before allocating: 14 sites would need 4 GiB for H alone.
+        with pytest.raises(ValueError, match="dense limit"):
+            build_tfim(14)
+
 
 class TestMFIM:
     def test_difference_from_tfim_is_bulk_field(self):
