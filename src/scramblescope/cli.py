@@ -388,6 +388,7 @@ def run_identity_suites(
 def _cmd_identity_suite(cfg: RunConfig, out_dir: Path) -> None:
     """Write the identity report (always JSON) and its manifest."""
     report = run_identity_suites(cfg.seed, cfg.n_spectra, cfg.n_triples, cfg.n_haar)
+    out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / "identity_suite.json"
     path.write_text(json.dumps(report, indent=1, sort_keys=True) + "\n")
     _write_manifest(out_dir, cfg, {}, [path])
@@ -404,12 +405,13 @@ _TABLE_COMMANDS = {
 
 
 def run(cfg: RunConfig) -> int:
+    """Run one command; the output directory is made only once it has results."""
     out_dir = Path(cfg.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     if cfg.command == "identity-suite":
         _cmd_identity_suite(cfg, out_dir)
         return 0
     tables, extra = _TABLE_COMMANDS[cfg.command](cfg)
+    out_dir.mkdir(parents=True, exist_ok=True)
     paths = []
     for stem, (header, rows) in tables.items():
         paths.append(out_dir / f"{stem}.{cfg.format}")

@@ -9,6 +9,7 @@ density matrix so that only unitary-sampling error is visible.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -95,26 +96,29 @@ def same_up_to_phase(a: np.ndarray, b: np.ndarray, atol: float = 1e-10) -> bool:
 _GATE_MATS = {"H": HADAMARD, "S": PHASE_S}
 
 
+@lru_cache(maxsize=64)
 def _gate_unitary(name: str, sites: tuple, n_qubits: int) -> np.ndarray:
+    """Dense matrix of one gate; cached, so the shared array is read-only."""
     dim = 2 ** n_qubits
     if name in _GATE_MATS:
         u = np.ones((1, 1), dtype=complex)
         for q in range(n_qubits):
             u = np.kron(u, _GATE_MATS[name] if q == sites[0] else PAULI_I)
-        return u
-    control, target = sites
-    u = np.zeros((dim, dim), dtype=complex)
-    for b in range(dim):
-        cbit = (b >> (n_qubits - 1 - control)) & 1
-        out = b ^ (cbit << (n_qubits - 1 - target))
-        u[out, b] = 1.0
+    else:
+        control, target = sites
+        u = np.zeros((dim, dim), dtype=complex)
+        for b in range(dim):
+            cbit = (b >> (n_qubits - 1 - control)) & 1
+            out = b ^ (cbit << (n_qubits - 1 - target))
+            u[out, b] = 1.0
+    u.setflags(write=False)
     return u
 
 
 def circuit_unitary(circuit: CliffordCircuit) -> np.ndarray:
     u = np.eye(2 ** circuit.n_qubits, dtype=complex)
     for name, sites in circuit.gates:
-        u = _gate_unitary(name, sites, circuit.n_qubits) @ u
+        u = _gate_unitary(name, tuple(sites), circuit.n_qubits) @ u
     return u
 
 

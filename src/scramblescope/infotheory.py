@@ -3,7 +3,8 @@
 Everything is reported in nats. The Q2 measure ln(2 / (1 + Tr rho^2)) is
 implemented three ways (purity, spectral expansion, contour quadrature);
 the purity form is the cheap, stable route and the other two exist as
-independent cross-checks of the same quantity.
+independent cross-checks of the same quantity. chi_q's subentropy is one
+gap-free integral, so degenerate and zero eigenvalues need no special case.
 """
 
 from __future__ import annotations
@@ -11,17 +12,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import mpmath
 import numpy as np
 
 from .qhilbert import DensityOperator, Spectrum, purity, spectrum_of
 
-# Eigenvalues below this are dropped before the spectral formulas; they
-# contribute exactly nothing to either expansion.
+# Eigenvalues below this are dropped before the Q2 spectral expansion; they
+# contribute exactly nothing to it.
 _DROP_TOL = 1e-12
 
 # Gaps smaller than this among O(1) eigenvalues make the float evaluation of
-# the spectral formulas lose more than ~1e-10; such inputs take the
+# the Q2 expansion lose more than ~1e-10; such inputs take the
 # high-precision perturbation path instead.
 _CAREFUL_GAP = 1e-6
 _CAREFUL_MAGNITUDE = 1e-2
@@ -32,6 +32,16 @@ _EXACT_GAP = 1e-12
 _MERGE_GAP = 1e-9
 _SPREAD_EPS = 1e-7
 _MP_DPS = 80
+
+# Trapezoid rule in u = ln s for the subentropy integral: step 1/4 on
+# [-40, 40]. The integrand decays like e^{-|u|} at both ends, and its poles
+# lie at distance pi from the real u axis, so the rule converges fast; a step
+# of 1/2 loses ~3e-12. The weights fold in ds = s du and the s/(1+s) factor.
+_SUB_S = np.exp(np.arange(-160, 161) / 4.0)
+_SUB_INV_S = 1.0 / _SUB_S
+_SUB_LOG1P_INV_S = np.log1p(_SUB_INV_S)
+_SUB_W = 0.25 * _SUB_S * _SUB_S / (1.0 + _SUB_S)
+_SUB_W[[0, -1]] /= 2.0
 
 
 @dataclass(frozen=True)
@@ -53,31 +63,56 @@ class Ensemble:
         if len(dims) != 1:
             raise ValueError("all ensemble members must share one dimension")
         object.__setattr__(self, "members", mem)
+        avg = sum(p * rho.matrix for p, rho in mem)
+        object.__setattr__(self, "_average", DensityOperator(dims.pop(), avg))
 
     @property
     def dim(self) -> int:
         return self.members[0][1].dim
 
     def average(self) -> DensityOperator:
-        avg = sum(p * rho.matrix for p, rho in self.members)
-        return DensityOperator(self.dim, avg)
+        return self._average
+
+
+def _mixing_gain(e: Ensemble, f) -> float:
+    """f of the average state minus the average of f over the members."""
+    return f(e.average()) - sum(p * f(rho) for p, rho in e.members)
 
 
 def von_neumann(rho: DensityOperator) -> float:
     """-Tr(rho ln rho) in nats, with the 0 ln 0 := 0 convention."""
-    w = np.linalg.eigvalsh(rho.matrix)
-    w = np.clip(w, 0.0, None)
+    w = rho.spectrum.values
     nz = w[w > 0.0]
     return float(-np.sum(nz * np.log(nz)))
 
 
 def holevo_chi(e: Ensemble) -> float:
     """Entropy of the average state minus the average member entropy."""
-    return von_neumann(e.average()) - sum(p * von_neumann(rho) for p, rho in e.members)
+    return _mixing_gain(e, von_neumann)
 
 
 # ---------------------------------------------------------------------------
-# Spectral formulas with removable singularities.
+# Subentropy, and the Q2 spectral expansion with removable singularities.
+
+
+def subentropy(spec: Spectrum) -> float:
+    """Spectral lower bound on accessible information, in nats.
+
+    Q = -sum_k l_k^n ln l_k / prod_{j != k} (l_k - l_j) equals, for a unit
+    trace spectrum, -int_0^inf g(s) ds with
+        g(s) = prod_j s / (l_j + s) - s / (1 + s),
+    which has no eigenvalue gaps in it. The integral is a trapezoid sum in
+    u = ln s, with g(s) = s/(1+s) expm1(log1p(1/s) - sum_j log1p(l_j/s)).
+    """
+    lam = np.clip(spec.values, 0.0, None)
+    lam = lam / lam.sum()
+    d = _SUB_LOG1P_INV_S - np.log1p(np.outer(lam, _SUB_INV_S)).sum(axis=0)
+    return 0.0 - float(np.expm1(d) @ _SUB_W)  # a pure state gives +0.0, not -0.0
+
+
+def chi_q(e: Ensemble) -> float:
+    """Subentropy of the average state minus the average member subentropy."""
+    return _mixing_gain(e, lambda rho: subentropy(spectrum_of(rho)))
 
 
 def _cluster_sorted(vals, gap):
@@ -101,23 +136,6 @@ def _needs_high_precision(vals: np.ndarray) -> bool:
     return False
 
 
-def _prepare(spec: Spectrum) -> np.ndarray:
-    vals = np.clip(np.sort(np.asarray(spec.values, dtype=float))[::-1], 0.0, None)
-    return vals[vals > _DROP_TOL]
-
-
-def _subentropy_float(vals: np.ndarray) -> float:
-    n = len(vals)
-    if n == 1:
-        return 0.0
-    diff = vals[:, None] - vals[None, :]
-    np.fill_diagonal(diff, 1.0)
-    ratio = vals[:, None] / diff
-    np.fill_diagonal(ratio, 1.0)
-    prods = np.prod(ratio, axis=1)
-    return float(-np.sum(vals * np.log(vals) * prods))
-
-
 def _q2_sum_float(vals: np.ndarray) -> float:
     n = len(vals)
     if n == 1:
@@ -128,32 +146,13 @@ def _q2_sum_float(vals: np.ndarray) -> float:
     return float(np.sum(vals ** (n + 1) / denom))
 
 
-def _subentropy_mp(vals) -> mpmath.mpf:
+def _q2_sum_mp(vals):
+    """The expansion in the working precision of the (mpmath) values."""
     n = len(vals)
-    if n == 1:
-        return mpmath.mpf(0)
-    total = mpmath.mpf(0)
-    for k in range(n):
-        prod = mpmath.mpf(1)
-        for l in range(n):
-            if l != k:
-                prod *= vals[k] / (vals[k] - vals[l])
-        total -= vals[k] * mpmath.log(vals[k]) * prod
-    return total
-
-
-def _q2_sum_mp(vals) -> mpmath.mpf:
-    n = len(vals)
-    if n == 1:
-        return vals[0] ** 2
-    total = mpmath.mpf(0)
-    for i in range(n):
-        denom = mpmath.mpf(1)
-        for j in range(n):
-            if j != i:
-                denom *= vals[i] - vals[j]
-        total += vals[i] ** (n + 1) / denom
-    return total
+    return sum(
+        v ** (n + 1) / math.prod(v - w for j, w in enumerate(vals) if j != i)
+        for i, v in enumerate(vals)
+    )
 
 
 def _spread_clusters_mp(vals, eps):
@@ -169,33 +168,6 @@ def _spread_clusters_mp(vals, eps):
     return out
 
 
-def _eval_spectral(spec: Spectrum, float_core, mp_core) -> float:
-    vals = _prepare(spec)
-    if len(vals) == 0:
-        return 0.0
-    if not _needs_high_precision(vals):
-        return float_core(vals)
-    with mpmath.workdps(_MP_DPS):
-        mp_vals = [mpmath.mpf(float(v)) for v in vals]
-        eps = mpmath.mpf(_SPREAD_EPS)
-        f1 = mp_core(_spread_clusters_mp(mp_vals, eps))
-        f2 = mp_core(_spread_clusters_mp(mp_vals, eps / 2))
-        # Richardson extrapolation of the O(eps^2) spreading error.
-        return float((4 * f2 - f1) / 3)
-
-
-def subentropy(spec: Spectrum) -> float:
-    """Spectral lower bound on accessible information, in nats."""
-    return _eval_spectral(spec, _subentropy_float, _subentropy_mp)
-
-
-def chi_q(e: Ensemble) -> float:
-    """Subentropy of the average state minus the average member subentropy."""
-    return subentropy(spectrum_of(e.average())) - sum(
-        p * subentropy(spectrum_of(rho)) for p, rho in e.members
-    )
-
-
 def q2_from_purity_value(p: float) -> float:
     return math.log(2.0 / (1.0 + p))
 
@@ -207,11 +179,21 @@ def q2_purity(rho: DensityOperator) -> float:
 
 def q2_spectral(spec: Spectrum) -> float:
     """Same measure via the eigenvalue expansion sum_i l_i^{n+1} / prod gaps."""
-    vals = _prepare(spec)
+    vals = np.clip(np.sort(np.asarray(spec.values, dtype=float))[::-1], 0.0, None)
+    vals = vals[vals > _DROP_TOL]
     if len(vals) == 0:
         raise ValueError("spectrum has no weight")
-    arg = _eval_spectral(spec, _q2_sum_float, _q2_sum_mp)
-    return -math.log(arg)
+    if not _needs_high_precision(vals):
+        return -math.log(_q2_sum_float(vals))
+    import mpmath  # only this branch needs it; it is slow to import
+
+    with mpmath.workdps(_MP_DPS):
+        mp_vals = [mpmath.mpf(float(v)) for v in vals]
+        eps = mpmath.mpf(_SPREAD_EPS)
+        f1 = _q2_sum_mp(_spread_clusters_mp(mp_vals, eps))
+        f2 = _q2_sum_mp(_spread_clusters_mp(mp_vals, eps / 2))
+        # Richardson extrapolation of the O(eps^2) spreading error.
+        return -math.log(float((4 * f2 - f1) / 3))
 
 
 def q2_contour(spec: Spectrum, radius: float = 2.0, n_nodes: int = 256) -> float:
@@ -232,7 +214,7 @@ def q2_contour(spec: Spectrum, radius: float = 2.0, n_nodes: int = 256) -> float
 
 def chi2(e: Ensemble) -> float:
     """Gain of the Q2 measure from mixing the ensemble (always >= 0)."""
-    return q2_purity(e.average()) - sum(p * q2_purity(rho) for p, rho in e.members)
+    return _mixing_gain(e, q2_purity)
 
 
 def chi2_from_purities(p1: float, p2: float, p_mix: float, d: int) -> float:

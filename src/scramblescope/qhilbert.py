@@ -11,6 +11,7 @@ All matrices are dense. Hamiltonians are refused above 13 sites
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -132,6 +133,12 @@ class DensityOperator:
         w = np.linalg.eigvalsh(m)
         if w[0] < -EIG_ATOL:
             raise ValueError(f"density matrix has negative eigenvalue {w[0]}")
+        object.__setattr__(self, "_eigenvalues", np.clip(w[::-1], 0.0, None))
+
+    @cached_property
+    def spectrum(self) -> "Spectrum":
+        """The positivity check's eigenvalues, descending and clipped at 0."""
+        return Spectrum(self._eigenvalues)
 
 
 @dataclass(frozen=True)
@@ -173,9 +180,7 @@ class Spectrum:
 
 
 def spectrum_of(rho: DensityOperator) -> Spectrum:
-    w = np.linalg.eigvalsh(rho.matrix)
-    w = np.clip(w[::-1], 0.0, None)
-    return Spectrum(w)
+    return rho.spectrum
 
 
 def kron_embed(local_ops, n_sites: int) -> HermitianOperator:

@@ -80,6 +80,8 @@ class ScrambleScenario:
             raise ValueError(f"unknown subset policy {self.subset_policy!r}")
         if any(m not in METRIC_NAMES for m in self.metrics):
             raise ValueError(f"unknown metric in {self.metrics}")
+        if self.n_batches < 1:
+            raise ValueError(f"n_batches must be at least 1, got {self.n_batches}")
         if grid.ndim != 1 or grid.size == 0 or grid[0] < 0:
             raise ValueError("time grid must be 1-D and start at t >= 0")
         if grid.size > 1 and np.any(np.diff(grid) <= 0):

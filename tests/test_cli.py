@@ -101,9 +101,13 @@ class TestConfigTypes:
 
 
 def test_cli_import_leaves_scipy_unloaded():
+    # mpmath is imported only by q2_spectral's high-precision branch
     src = str(Path(scramblescope.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    code = "import sys, scramblescope.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    code = (
+        "import sys, scramblescope.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'mpmath')))"
+    )
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
 
@@ -155,6 +159,16 @@ class TestGridCommand:
                 assert list(record) == header.split(",")
                 for value, text in zip(record.values(), line.split(",")):
                     assert text == (f"{value:.12g}" if isinstance(value, float) else str(value))
+
+    def test_near_degenerate_subsystem_spectra(self, tmp_path):
+        # L_A = 3 spectra here hold clusters of ~1e-12 eigenvalues
+        out = tmp_path / "o"
+        args = ["grid", "--model", "tfim", "--length", "8", "--subsystem-size", "3",
+                "--tmax", "10", "--steps", "41", "--out", str(out)]
+        assert main(args) == 0
+        rows = (out / "grid.csv").read_text().splitlines()[1:]
+        assert len(rows) == 3 * 41 * 8
+        assert all(0.0 <= float(r.split(",")[3]) <= 1.0 for r in rows)
 
     def test_deterministic_rerun(self, tmp_path):
         args = ["grid", "--model", "mbl", "--length", "5", "--tmax", "2",
@@ -243,3 +257,9 @@ class TestMainErrors:
         err = capsys.readouterr().err
         assert err.startswith("error: ValueError:") and "dense limit" in err
         assert "Traceback" not in err
+
+    def test_failed_run_leaves_no_output_dir(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        assert main(["grid", "--model", "tfim", "--length", "22", "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("error: ValueError:")
+        assert not out.exists()

@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.linalg import logm
@@ -138,6 +139,24 @@ class TestSubentropy:
         d = 1e-10
         got = subentropy(Spectrum([0.5 + d, 0.5 - d]))
         assert abs(got - (math.log(2) - 0.5)) < 1e-8
+
+    def test_cluster_of_tiny_eigenvalues(self):
+        got = subentropy(Spectrum([1 - 4e-12, 2e-12, 2e-12]))
+        assert math.isfinite(got) and got >= 0.0
+
+    def test_matches_high_precision_divided_difference(self):
+        # -sum_k l_k^n ln l_k / prod_{l != k} (l_k - l_l), in 60 digits
+        rng = np.random.default_rng(14)
+        for _ in range(100):
+            spec = random_spectrum(int(rng.integers(2, 17)), rng)
+            with mpmath.workdps(60):
+                lam = [mpmath.mpf(float(v)) for v in spec.values]
+                n = len(lam)
+                want = -sum(
+                    lk**n * mpmath.log(lk) / mpmath.fprod(lk - ll for ll in lam if ll != lk)
+                    for lk in lam
+                )
+            assert abs(subentropy(spec) - float(want)) < 1e-12
 
     def test_below_von_neumann(self):
         rng = np.random.default_rng(2)

@@ -123,6 +123,16 @@ class TestSpectrum:
         with pytest.raises(ValueError):
             Spectrum([0.5, 0.4])
 
+    def test_density_operator_spectrum_matches_eigvalsh(self):
+        rng = np.random.default_rng(13)
+        for d in (2, 4, 8):
+            g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+            m = g @ g.conj().T
+            rho = DensityOperator(d, m / np.trace(m).real)
+            want = np.linalg.eigvalsh(rho.matrix)[::-1]
+            assert np.max(np.abs(rho.spectrum.values - want)) < 1e-14
+            assert spectrum_of(rho) is rho.spectrum
+
     def test_spectrum_of_maximally_mixed(self):
         rho = DensityOperator(4, np.eye(4) / 4)
         assert np.allclose(spectrum_of(rho).values, 0.25)

@@ -138,6 +138,15 @@ class TestExactGrid:
         assert np.all(chi2_row <= holevo_row + 1e-9)
         assert np.all(chiq_row <= holevo_row + 1e-9)
 
+    def test_three_eigensolves_per_time_and_subset(self, monkeypatch):
+        # one per reduced state and one for their average, shared by all metrics
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: calls.append(1) or eigvalsh(m))
+        s = scenario(kind="TFIM", L=4, times=(0.0, 0.5, 1.0), metrics=("chi2", "holevo", "chi_q"))
+        exact_metric_grid(s)
+        assert len(calls) == 3 * len(s.time_grid) * len(qualifying_subsets(s))
+
     def test_all_subsets_single_column(self):
         s = scenario(kind="TFIM", L=5, times=(0.0,), subset_policy="all_subsets")
         g = exact_metric_grid(s)
@@ -183,6 +192,10 @@ class TestShadowCurve:
     def test_requires_shots(self):
         with pytest.raises(ValueError):
             shadow_metric_curve(scenario(kind="TFIM", L=4))
+
+    def test_rejects_zero_batches(self):
+        with pytest.raises(ValueError, match="n_batches"):
+            scenario(kind="TFIM", L=4, shots=100, n_batches=0)
 
 
 class TestMblCage:
