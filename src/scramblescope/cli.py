@@ -33,9 +33,10 @@ from .infotheory import (
     subentropy,
     von_neumann,
 )
-from .models import MBL_W_DEFAULT, ModelSpec, draw_disorder
+from .models import MBL_SEED_DEFAULT, MBL_W_DEFAULT, ModelSpec, draw_disorder
 from .qhilbert import DensityOperator, SiteSubset, spectrum_of
 from .scramble import (
+    METRIC_NAMES,
     ScrambleScenario,
     default_perturbation_site,
     default_time_grid,
@@ -83,8 +84,8 @@ class RunConfig:
     format: str = "csv"
     initial: str | None = None
     policy: str = "windows_containing_x"
-    metrics: list[str] = field(default_factory=lambda: ["chi2", "holevo", "chi_q"])
-    disorder_seed: int = 42
+    metrics: list[str] = field(default_factory=lambda: list(METRIC_NAMES))
+    disorder_seed: int = MBL_SEED_DEFAULT
     disorder_width: float = MBL_W_DEFAULT
     pxp_boundary: str = "open_projected"
     sample_counts: list[int] = field(default_factory=lambda: [10, 50, 200])
@@ -122,6 +123,9 @@ class RunConfig:
             raise UsageError("batches and trials must be at least 1")
         if not self.sample_counts or min(self.sample_counts) < 1:
             raise UsageError("sample_counts must be a non-empty list of counts >= 1")
+        for key, values in (("metrics", self.metrics), ("sample_counts", self.sample_counts)):
+            if len(set(values)) != len(values):
+                raise UsageError(f"{key} has duplicate entries: {values}")
 
 
 _FLAG_KEYS = (

@@ -14,7 +14,7 @@ from functools import lru_cache
 import numpy as np
 
 from .evolve import evolve, make_propagator
-from .infotheory import chi2_from_purities
+from .infotheory import basis_moments, chi2_from_purities
 from .models import build_hamiltonian
 from .qhilbert import DensityOperator, HADAMARD, PAULI_I, PHASE_S, SiteSubset, partial_trace
 from .scramble import ScrambleScenario, exact_chi2_pair, prepare_ensemble
@@ -153,18 +153,17 @@ def purity_from_basis_sampling(rho_A: DensityOperator, unitaries) -> float:
     is computed; the ensemble average of sum_j P(j)^2 equals
     (Tr rho^2 + 1)/(d + 1) for any 2-design, so purity = (d+1) avg - 1.
     """
-    unitaries = list(unitaries)
-    if not unitaries:
-        raise ValueError("need at least one unitary")
     d = rho_A.dim
-    acc = 0.0
-    for u in unitaries:
-        u = np.asarray(u, dtype=complex)
-        if u.shape != (d, d):
-            raise ValueError(f"unitary shape {u.shape} does not match dim {d}")
-        probs = np.einsum("ja,ab,jb->j", u, rho_A.matrix, u.conj(), optimize=True).real
-        acc += float(np.sum(probs ** 2))
-    return (d + 1) * (acc / len(unitaries)) - 1.0
+    stack = np.asarray(list(unitaries), dtype=complex)
+    if stack.size == 0:
+        raise ValueError("need at least one unitary")
+    if stack.shape[1:] != (d, d):
+        raise ValueError(f"unitary stack shape {stack.shape} does not match dim {d}")
+    moments = basis_moments(rho_A, stack)
+    # Python's sum adds the floats in order (through Python 3.11), matching a
+    # running total to the bit, which keeps clifford_verify.csv byte-identical;
+    # np.sum's pairwise order would change its last digits.
+    return (d + 1) * (sum(moments.tolist()) / len(stack)) - 1.0
 
 
 def _scenario_subsystem(s: ScrambleScenario) -> SiteSubset:
@@ -193,6 +192,8 @@ def clifford_convergence_experiment(
         raise ValueError("the convergence experiment targets the PXP scenario")
     if s.subsystem_size not in (1, 2):
         raise ValueError("sampled subsystems of size 1 or 2 only")
+    if len(set(sample_counts)) != len(sample_counts):
+        raise ValueError(f"duplicate sample counts in {sample_counts}")
     subset = _scenario_subsystem(s)
     d = 2 ** len(subset)
     prop = make_propagator(build_hamiltonian(s.model))

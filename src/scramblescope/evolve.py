@@ -31,12 +31,7 @@ class Propagator:
 
 
 def make_propagator(h: HermitianOperator) -> Propagator:
-    w, v = eigensystem(h)
-    p = Propagator(eigenvalues=w, eigenvectors=v, dim=h.dim)
-    rebuilt = (v * w) @ v.conj().T
-    if np.max(np.abs(rebuilt - h.matrix)) > 1e-8:
-        raise ArithmeticError("eigendecomposition failed to reconstruct H")
-    return p
+    return Propagator(*eigensystem(h), h.dim)
 
 
 def evolve(p: Propagator, psi0: StateVector, t: float) -> StateVector:

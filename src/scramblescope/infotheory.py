@@ -274,11 +274,24 @@ def _haar_unitaries(d: int, m: int, rng: np.random.Generator) -> np.ndarray:
     return q
 
 
+def basis_moments(rho: DensityOperator, unitaries: np.ndarray) -> np.ndarray:
+    """sum_j P(j)^2 with P(j) = <j|U rho U^dag|j>, for each U of an (N, d, d) stack.
+
+    The measured basis vectors are the rows of each unitary.
+    """
+    u = unitaries
+    probs = np.einsum("nja,ab,njb->nj", u, rho.matrix, u.conj(), optimize=True).real
+    return np.sum(probs ** 2, axis=1)
+
+
+# Haar unitaries drawn and contracted per batch in haar_moment_mc.
+_HAAR_CHUNK = 4096
+
+
 def haar_moment_mc(
     rho: DensityOperator,
     n_samples: int,
     rng: np.random.Generator,
-    chunk: int = 4096,
 ) -> HaarMoments:
     """Sample Haar-random orthonormal bases and estimate both probability moments.
 
@@ -296,11 +309,9 @@ def haar_moment_mc(
     pure = np.empty(n_samples)
     done = 0
     while done < n_samples:
-        m = min(chunk, n_samples - done)
+        m = min(_HAAR_CHUNK, n_samples - done)
         u = _haar_unitaries(d, m, rng)
-        # basis vectors are the rows of each sampled unitary
-        probs = np.einsum("nja,ab,njb->nj", u, rho.matrix, u.conj(), optimize=True).real
-        marg[done : done + m] = np.sum(probs ** 2, axis=1)
+        marg[done : done + m] = basis_moments(rho, u)
         amp = u @ psi
         pure[done : done + m] = np.sum(np.abs(amp) ** 4, axis=1)
         done += m

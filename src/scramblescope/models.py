@@ -216,21 +216,12 @@ def build_pxp(L: int, boundary: str = "open_projected") -> HermitianOperator:
 
 
 def build_hamiltonian(spec: ModelSpec) -> HermitianOperator:
+    """Build the spec's chain; its couplings are the builder's keyword arguments."""
     c = spec.couplings
     if spec.kind == "TFIM":
-        return build_tfim(spec.n_sites, J=c.get("J", 1.0), g=c.get("g", 0.6))
+        return build_tfim(spec.n_sites, **c)
     if spec.kind == "MFIM":
-        return build_mfim(
-            spec.n_sites,
-            J=c.get("J", 1.0),
-            g=c.get("g", MFIM_G_DEFAULT),
-            h=c.get("h", MFIM_H_DEFAULT),
-        )
+        return build_mfim(spec.n_sites, **c)
     if spec.kind == "MBL":
-        return build_mbl(
-            spec.n_sites,
-            J_perp=c.get("J_perp", 1.0),
-            J_z=c.get("J_z", 1.0),
-            disorder=spec.disorder,
-        )
-    return build_pxp(spec.n_sites, boundary=spec.pxp_boundary)
+        return build_mbl(spec.n_sites, disorder=spec.disorder, **c)
+    return build_pxp(spec.n_sites, boundary=spec.pxp_boundary, **c)

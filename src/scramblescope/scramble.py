@@ -80,6 +80,8 @@ class ScrambleScenario:
             raise ValueError(f"unknown subset policy {self.subset_policy!r}")
         if any(m not in METRIC_NAMES for m in self.metrics):
             raise ValueError(f"unknown metric in {self.metrics}")
+        if len(set(self.metrics)) != len(self.metrics):
+            raise ValueError(f"duplicate metric in {self.metrics}")
         if self.n_batches < 1:
             raise ValueError(f"n_batches must be at least 1, got {self.n_batches}")
         if grid.ndim != 1 or grid.size == 0 or grid[0] < 0:
@@ -322,26 +324,16 @@ def mbl_cage_compare(
         raise ValueError("cage must be contiguous")
     if s.perturbation_site not in idx:
         raise ValueError("cage must contain the perturbation site")
-    c = s.model.couplings
     disorder = s.model.disorder
     bond_scale = np.ones(L_full - 1)
     if idx[0] > 0:
         bond_scale[idx[0] - 1] = boundary_coupling_scale
     if idx[-1] < L_full - 1:
         bond_scale[idx[-1]] = boundary_coupling_scale
-    h_full = build_mbl(
-        L_full,
-        J_perp=c.get("J_perp", 1.0),
-        J_z=c.get("J_z", 1.0),
-        disorder=disorder,
-        bond_scale=bond_scale,
-    )
-    h_cage = build_mbl(
-        len(idx),
-        J_perp=c.get("J_perp", 1.0),
-        J_z=c.get("J_z", 1.0),
-        disorder=replace(disorder, fields=disorder.fields[list(idx)]),
-    )
+    c = s.model.couplings
+    h_full = build_mbl(L_full, disorder=disorder, bond_scale=bond_scale, **c)
+    cage_disorder = replace(disorder, fields=disorder.fields[list(idx)])
+    h_cage = build_mbl(len(idx), disorder=cage_disorder, **c)
     bits = _initial_bits(s.initial_kind, L_full)
     cage_pair = _flip_pair([bits[i] for i in idx], idx.index(s.perturbation_site))
     window = _cage_window(cage_sites, s.perturbation_site, s.subsystem_size)

@@ -348,6 +348,38 @@ def test_criterion_9_dynamical_phenomenology():
     verdict(9, ok, "; ".join(notes) + f"; {elapsed:.0f}s (<900s)")
 
 
+def test_dynamical_confinement_regression():
+    """A longitudinal field confines the chi2 front of the ferromagnetic MFIM.
+
+    Flip at the centre of a polarized L=10 chain (J=-1, g=-0.25); windows of
+    two sites. Without a field the front reaches distance 4; a field h slows
+    it, and at h=-0.2 it never arrives by t=20 while the far field shrinks.
+    """
+    theta = 0.02
+    far = [x for x in range(10) if abs(x - 5) >= 3]
+    arrivals, far_max = [], []
+    for h in (0.0, -0.1, -0.2):
+        s = ScrambleScenario(
+            model=ModelSpec(kind="MFIM", n_sites=10, couplings={"J": -1.0, "g": -0.25, "h": h}),
+            initial_kind="polarized",
+            perturbation_site=5,
+            subsystem_size=2,
+            time_grid=np.linspace(0.0, 20.0, 101),
+        )
+        vals = exact_metric_grid(s).values[0]
+        col = vals[:, 5 + 4]
+        hit = int(np.argmax(col > theta))
+        arrivals.append(float(s.time_grid[hit]) if col[hit] > theta else np.inf)
+        far_max.append(float(np.max(vals[:, far])))
+    # frozen: measured distance-4 arrivals t = 6.4, 7.8 and none, and
+    # far-field maxima 0.1328, 0.0900 and 0.0411 on the reference build
+    front_ok = arrivals[0] <= 7.0 and arrivals[0] < arrivals[1] <= 9.0 and arrivals[2] == np.inf
+    far_ok = far_max[0] > 0.11 and far_max[0] > far_max[1] > far_max[2] and far_max[2] < 0.06
+    detail = f"distance-4 arrivals={arrivals}, far-field max={[round(f, 4) for f in far_max]}"
+    print(f"[confinement] {'PASS' if front_ok and far_ok else 'FAIL'}: {detail}")
+    assert front_ok and far_ok, detail
+
+
 def test_criterion_10_median_of_means_robustness():
     start = time.time()
     rng = substream_rng(10, "acceptance:mom")

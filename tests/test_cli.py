@@ -86,6 +86,8 @@ class TestConfigTypes:
             ("clifford-verify", {"trials": 0}),
             ("clifford-verify", {"sample_counts": []}),
             ("clifford-verify", {"sample_counts": [10, 0]}),
+            ("clifford-verify", {"sample_counts": [10, 10]}),
+            ("grid", {"metrics": ["chi2", "chi2"]}),
         ],
     )
     def test_bad_count_is_usage_error(self, tmp_path, capsys, command, bad):

@@ -108,6 +108,24 @@ class TestPurityInversion:
         with pytest.raises(ValueError):
             purity_from_basis_sampling(rho, [])
 
+    def test_equals_per_unitary_loop(self):
+        rng = np.random.default_rng(4)
+        rho = random_density(4, rng)
+        us = [random_clifford_circuit(2, 50, rng)[1] for _ in range(37)]
+        acc = 0.0
+        for u in us:
+            probs = np.einsum("ja,ab,jb->j", u, rho.matrix, u.conj(), optimize=True).real
+            acc += float(np.sum(probs ** 2))
+        want = 5 * (acc / len(us)) - 1.0
+        assert purity_from_basis_sampling(rho, us) == want
+        assert purity_from_basis_sampling(rho, np.stack(us)) == want
+
+    @pytest.mark.parametrize("shape", [(3, 2, 2), (3, 4, 2), (4, 4)])
+    def test_rejects_wrong_stack_shape(self, shape):
+        rho = random_density(4, np.random.default_rng(5))
+        with pytest.raises(ValueError, match="shape"):
+            purity_from_basis_sampling(rho, np.zeros(shape, dtype=complex))
+
 
 class TestConvergenceExperiment:
     def _scenario(self, size):
@@ -135,6 +153,10 @@ class TestConvergenceExperiment:
         a = clifford_convergence_experiment(self._scenario(1), [10], 2)
         b = clifford_convergence_experiment(self._scenario(1), [10], 2)
         assert a == b
+
+    def test_rejects_duplicate_sample_counts(self):
+        with pytest.raises(ValueError, match="duplicate"):
+            clifford_convergence_experiment(self._scenario(1), [10, 10], 2)
 
     def test_rejects_non_pxp(self):
         s = ScrambleScenario(

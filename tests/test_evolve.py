@@ -5,7 +5,7 @@ import pytest
 from scipy.linalg import expm
 
 from scramblescope.evolve import Propagator, evolve, make_propagator
-from scramblescope.models import build_pxp, build_tfim
+from scramblescope.models import build_mbl, build_mfim, build_pxp, build_tfim, draw_disorder
 from scramblescope.qhilbert import StateVector, basis_state
 
 
@@ -28,7 +28,8 @@ class TestMakePropagator:
 class TestEvolve:
     def test_matches_expm_oracle(self):
         rng = np.random.default_rng(2)
-        for h in (build_tfim(4), build_pxp(4)):
+        mbl = build_mbl(4, disorder=draw_disorder(4))
+        for h in (build_tfim(4), build_pxp(4), build_mfim(4), mbl):
             p = make_propagator(h)
             psi0 = random_state(4, rng)
             for t in (0.3, 1.7, 12.0):

@@ -200,6 +200,26 @@ class TestModelSpec:
         assert np.array_equal(
             build_hamiltonian(spec).matrix, build_tfim(3, 2.0, 0.1).matrix
         )
+        dis = draw_disorder(4)
+        cases = [
+            (ModelSpec("MFIM", 4, couplings={"J": -1.0, "g": -0.25, "h": -0.1}),
+             build_mfim(4, J=-1.0, g=-0.25, h=-0.1)),
+            (ModelSpec("MFIM", 4, couplings={"h": 0.0}), build_mfim(4, h=0.0)),
+            (ModelSpec("MBL", 4, couplings={"J_perp": 0.5, "J_z": 2.0}, disorder=dis),
+             build_mbl(4, J_perp=0.5, J_z=2.0, disorder=dis)),
+        ]
+        for spec, want in cases:
+            assert np.array_equal(build_hamiltonian(spec).matrix, want.matrix)
+
+    @pytest.mark.parametrize(
+        "kind,couplings",
+        [("TFIM", {"G": 0.1}), ("TFIM", {"h": 0.3}), ("PXP", {"J": 5.0}), ("MBL", {"J": 2.0})],
+    )
+    def test_rejects_coupling_the_builder_does_not_take(self, kind, couplings):
+        dis = draw_disorder(4) if kind == "MBL" else None
+        spec = ModelSpec(kind, 4, couplings=couplings, disorder=dis)
+        with pytest.raises(TypeError, match="unexpected keyword argument"):
+            build_hamiltonian(spec)
 
     def test_rejects_unknown_kind(self):
         with pytest.raises(ValueError):

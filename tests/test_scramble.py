@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from scramblescope.models import ModelSpec, draw_disorder
-from scramblescope.qhilbert import SiteSubset
+from scramblescope.evolve import evolve, make_propagator
+from scramblescope.models import DisorderRealization, ModelSpec, build_mbl, draw_disorder
+from scramblescope.qhilbert import SiteSubset, basis_state, partial_trace
 from scramblescope.scramble import (
     LN_4_3,
     ScrambleScenario,
@@ -47,6 +48,8 @@ class TestScenarioValidation:
     def test_rejects_bad_metric(self):
         with pytest.raises(ValueError):
             scenario(metrics=("renyi",))
+        with pytest.raises(ValueError, match="duplicate"):
+            scenario(metrics=("chi2", "chi2"))
 
     def test_rejects_decreasing_grid(self):
         with pytest.raises(ValueError):
@@ -215,6 +218,31 @@ class TestMblCage:
         diffs = [abs(r["chi2_full"] - r["chi2_cage"]) for r in rows]
         assert diffs[0] < 1e-10  # identical at t=0
         assert max(diffs) > 1e-6  # leakage is visible at late times
+
+    def test_couplings_reach_both_chains(self):
+        L, couplings = 6, {"J_perp": 0.6, "J_z": 1.7}
+        dis = draw_disorder(L)
+        s = ScrambleScenario(
+            model=ModelSpec(kind="MBL", n_sites=L, couplings=couplings, disorder=dis),
+            initial_kind="neel",
+            perturbation_site=2,
+            subsystem_size=2,
+            time_grid=np.array([0.0, 1.5, 4.0]),
+        )
+        cage = SiteSubset([1, 2, 3])
+        rows = mbl_cage_compare(L, cage, s, boundary_coupling_scale=0.5)
+        bond_scale = np.array([0.5, 1.0, 1.0, 0.5, 1.0])
+        h_full = build_mbl(L, disorder=dis, bond_scale=bond_scale, **couplings)
+        cage_dis = DisorderRealization(dis.fields[1:4], dis.seed, dis.generator_id, dis.width)
+        h_cage = build_mbl(3, disorder=cage_dis, **couplings)
+        full_pair = prepare_ensemble(s)
+        cage_pair = (basis_state(3, [1, 0, 1]), basis_state(3, [1, 1, 1]))
+        p_full, p_cage = make_propagator(h_full), make_propagator(h_cage)
+        for r, t in zip(rows, s.time_grid):
+            full = [partial_trace(evolve(p_full, psi, t), SiteSubset([1, 2])) for psi in full_pair]
+            iso = [partial_trace(evolve(p_cage, psi, t), SiteSubset([0, 1])) for psi in cage_pair]
+            assert r["chi2_full"] == exact_chi2_pair(*full)
+            assert r["chi2_cage"] == exact_chi2_pair(*iso)
 
     def test_rejects_noncontiguous_cage(self):
         s = scenario(kind="MBL", L=6, site=2)
