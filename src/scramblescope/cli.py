@@ -119,8 +119,9 @@ class RunConfig:
             raise UsageError(f"unknown model {self.model!r}")
         if self.length is not None and self.subsystem_size > self.length:
             raise UsageError("subsystem_size exceeds chain length")
-        if self.batches < 1 or self.trials < 1:
-            raise UsageError("batches and trials must be at least 1")
+        for key in ("batches", "trials", "n_spectra", "n_triples"):
+            if getattr(self, key) < 1:
+                raise UsageError(f"{key} must be at least 1")
         if not self.sample_counts or min(self.sample_counts) < 1:
             raise UsageError("sample_counts must be a non-empty list of counts >= 1")
         for key, values in (("metrics", self.metrics), ("sample_counts", self.sample_counts)):

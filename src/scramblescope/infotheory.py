@@ -3,8 +3,10 @@
 Everything is reported in nats. The Q2 measure ln(2 / (1 + Tr rho^2)) is
 implemented three ways (purity, spectral expansion, contour quadrature);
 the purity form is the cheap, stable route and the other two exist as
-independent cross-checks of the same quantity. chi_q's subentropy is one
-gap-free integral, so degenerate and zero eigenvalues need no special case.
+independent cross-checks of the same quantity. The spectral expansion is
+evaluated as a divided-difference recurrence and chi_q's subentropy as one
+integral; neither divides by eigenvalue gaps, so degenerate and zero
+eigenvalues need no special case.
 """
 
 from __future__ import annotations
@@ -15,23 +17,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .qhilbert import DensityOperator, Spectrum, purity, spectrum_of
-
-# Eigenvalues below this are dropped before the Q2 spectral expansion; they
-# contribute exactly nothing to it.
-_DROP_TOL = 1e-12
-
-# Gaps smaller than this among O(1) eigenvalues make the float evaluation of
-# the Q2 expansion lose more than ~1e-10; such inputs take the
-# high-precision perturbation path instead.
-_CAREFUL_GAP = 1e-6
-_CAREFUL_MAGNITUDE = 1e-2
-_EXACT_GAP = 1e-12
-
-# Inside the high-precision path, eigenvalues closer than this are treated
-# as one degenerate cluster and spread symmetrically before evaluation.
-_MERGE_GAP = 1e-9
-_SPREAD_EPS = 1e-7
-_MP_DPS = 80
 
 # Trapezoid rule in u = ln s for the subentropy integral: step 1/4 on
 # [-40, 40]. The integrand decays like e^{-|u|} at both ends, and its poles
@@ -92,7 +77,8 @@ def holevo_chi(e: Ensemble) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Subentropy, and the Q2 spectral expansion with removable singularities.
+# Subentropy and the Q2 routes; the eigenvalue formulas are evaluated in
+# gap-free forms (an integral and a divided-difference recurrence).
 
 
 def subentropy(spec: Spectrum) -> float:
@@ -115,59 +101,6 @@ def chi_q(e: Ensemble) -> float:
     return _mixing_gain(e, lambda rho: subentropy(spectrum_of(rho)))
 
 
-def _cluster_sorted(vals, gap):
-    """Group a descending sequence into clusters of near-equal values."""
-    clusters = [[0]]
-    for i in range(1, len(vals)):
-        if vals[i - 1] - vals[i] < gap:
-            clusters[-1].append(i)
-        else:
-            clusters.append([i])
-    return clusters
-
-
-def _needs_high_precision(vals: np.ndarray) -> bool:
-    for a, b in zip(vals, vals[1:]):
-        gap = a - b
-        if gap < _EXACT_GAP:
-            return True
-        if gap < _CAREFUL_GAP and a > _CAREFUL_MAGNITUDE:
-            return True
-    return False
-
-
-def _q2_sum_float(vals: np.ndarray) -> float:
-    n = len(vals)
-    if n == 1:
-        return float(vals[0] ** 2)
-    diff = vals[:, None] - vals[None, :]
-    np.fill_diagonal(diff, 1.0)
-    denom = np.prod(diff, axis=1)
-    return float(np.sum(vals ** (n + 1) / denom))
-
-
-def _q2_sum_mp(vals):
-    """The expansion in the working precision of the (mpmath) values."""
-    n = len(vals)
-    return sum(
-        v ** (n + 1) / math.prod(v - w for j, w in enumerate(vals) if j != i)
-        for i, v in enumerate(vals)
-    )
-
-
-def _spread_clusters_mp(vals, eps):
-    """Replace degenerate clusters by symmetric, sum-preserving spreads."""
-    out = list(vals)
-    for cluster in _cluster_sorted(vals, _MERGE_GAP):
-        m = len(cluster)
-        if m == 1:
-            continue
-        center = sum(vals[i] for i in cluster) / m
-        for j, i in enumerate(cluster):
-            out[i] = center + eps * (m - 1 - 2 * j)
-    return out
-
-
 def q2_from_purity_value(p: float) -> float:
     return math.log(2.0 / (1.0 + p))
 
@@ -178,22 +111,21 @@ def q2_purity(rho: DensityOperator) -> float:
 
 
 def q2_spectral(spec: Spectrum) -> float:
-    """Same measure via the eigenvalue expansion sum_i l_i^{n+1} / prod gaps."""
-    vals = np.clip(np.sort(np.asarray(spec.values, dtype=float))[::-1], 0.0, None)
-    vals = vals[vals > _DROP_TOL]
-    if len(vals) == 0:
-        raise ValueError("spectrum has no weight")
-    if not _needs_high_precision(vals):
-        return -math.log(_q2_sum_float(vals))
-    import mpmath  # only this branch needs it; it is slow to import
+    """Same measure via the eigenvalue expansion sum_i l_i^{n+1} / prod gaps.
 
-    with mpmath.workdps(_MP_DPS):
-        mp_vals = [mpmath.mpf(float(v)) for v in vals]
-        eps = mpmath.mpf(_SPREAD_EPS)
-        f1 = _q2_sum_mp(_spread_clusters_mp(mp_vals, eps))
-        f2 = _q2_sum_mp(_spread_clusters_mp(mp_vals, eps / 2))
-        # Richardson extrapolation of the O(eps^2) spreading error.
-        return -math.log(float((4 * f2 - f1) / 3))
+    The expansion is the divided difference of x^{n+1} at the n eigenvalues,
+    which by Opitz's formula is the top-right entry of Z^{n+1} for
+    Z = diag(l) plus a unit superdiagonal. Carrying the first row of Z^k
+    through n+1 steps adds only non-negative terms and has no gaps in it, so
+    degenerate and zero eigenvalues need no special case.
+    """
+    lam = np.clip(spec.values, 0.0, None)
+    row = np.zeros_like(lam)
+    row[0] = 1.0
+    for _ in range(len(lam) + 1):
+        row[1:] = row[1:] * lam[1:] + row[:-1]
+        row[0] *= lam[0]
+    return -math.log(row[-1])
 
 
 def q2_contour(spec: Spectrum, radius: float = 2.0, n_nodes: int = 256) -> float:

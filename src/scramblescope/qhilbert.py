@@ -168,12 +168,15 @@ class Spectrum:
         object.__setattr__(self, "values", v)
         if v.ndim != 1 or v.size == 0:
             raise ValueError("spectrum must be a nonempty 1-D array")
+        total = v.sum()
+        if not np.isfinite(total):  # any nan or inf entry makes the sum non-finite
+            raise ValueError(f"spectrum has non-finite values: {v}")
         if np.any(np.diff(v) > 0):
             raise ValueError("spectrum must be sorted in descending order")
         if v[-1] < -EIG_ATOL or v[0] > 1.0 + EIG_ATOL:
             raise ValueError(f"eigenvalues outside [0, 1]: {v}")
-        if abs(v.sum() - 1.0) > 1e-8:
-            raise ValueError(f"spectrum sums to {v.sum()}, expected 1")
+        if abs(total - 1.0) > 1e-8:
+            raise ValueError(f"spectrum sums to {total}, expected 1")
 
     def __len__(self) -> int:
         return len(self.values)

@@ -67,6 +67,17 @@ _KERNEL_TABLE = np.array(
 )
 
 
+def _store_codes(record):
+    """Check a record's code values, then store them as uint8 (the cast wraps)."""
+    b, o = np.asarray(record.bases), np.asarray(record.outcomes)
+    if np.any((b < 0) | (b > 2)) or np.any((o < 0) | (o > 1)):
+        raise ValueError("basis codes must be in {0,1,2}, outcomes in {0,1}")
+    b, o = b.astype(np.uint8, copy=False), o.astype(np.uint8, copy=False)
+    object.__setattr__(record, "bases", b)
+    object.__setattr__(record, "outcomes", o)
+    return b, o
+
+
 @dataclass(frozen=True)
 class Snapshot:
     """One classical-shadow record: per-site basis codes and outcome bits."""
@@ -75,14 +86,9 @@ class Snapshot:
     outcomes: np.ndarray
 
     def __post_init__(self):
-        b = np.asarray(self.bases, dtype=np.uint8)
-        o = np.asarray(self.outcomes, dtype=np.uint8)
-        object.__setattr__(self, "bases", b)
-        object.__setattr__(self, "outcomes", o)
+        b, o = _store_codes(self)
         if b.shape != o.shape or b.ndim != 1:
             raise ValueError("bases and outcomes must be 1-D arrays of equal length")
-        if np.any(b > 2) or np.any(o > 1):
-            raise ValueError("basis codes must be in {0,1,2}, outcomes in {0,1}")
 
     @property
     def n_sites(self) -> int:
@@ -107,10 +113,7 @@ class ShadowSet:
     seed: int | None = None
 
     def __post_init__(self):
-        b = np.asarray(self.bases, dtype=np.uint8)
-        o = np.asarray(self.outcomes, dtype=np.uint8)
-        object.__setattr__(self, "bases", b)
-        object.__setattr__(self, "outcomes", o)
+        b, o = _store_codes(self)
         if b.ndim != 2 or b.shape != o.shape or b.shape[1] != self.n_sites:
             raise ValueError("snapshot arrays must be (M, n_sites) and congruent")
 

@@ -88,6 +88,8 @@ class TestConfigTypes:
             ("clifford-verify", {"sample_counts": [10, 0]}),
             ("clifford-verify", {"sample_counts": [10, 10]}),
             ("grid", {"metrics": ["chi2", "chi2"]}),
+            ("identity-suite", {"n_spectra": 0}),
+            ("identity-suite", {"n_triples": 0}),
         ],
     )
     def test_bad_count_is_usage_error(self, tmp_path, capsys, command, bad):
@@ -103,7 +105,7 @@ class TestConfigTypes:
 
 
 def test_cli_import_leaves_scipy_unloaded():
-    # mpmath is imported only by q2_spectral's high-precision branch
+    # mpmath is only a test oracle; no module of the program imports it
     src = str(Path(scramblescope.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     code = (

@@ -1,6 +1,10 @@
 """Information metrics: closed-form anchors, independent oracles, properties."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -8,6 +12,7 @@ import pytest
 from scipy.linalg import logm
 from scipy.stats import unitary_group
 
+import scramblescope
 from scramblescope.infotheory import (
     Ensemble,
     _haar_unitaries,
@@ -191,7 +196,7 @@ class TestQ2:
             assert abs(q2_spectral(spec) - ref) < 1e-8
 
     def test_spectral_identity_degenerate(self):
-        for vals in ([0.5, 0.5], [0.25] * 4, [0.4, 0.4, 0.1, 0.1], [1 / 8] * 8):
+        for vals in ([0.5, 0.5], [0.25] * 4, [0.4, 0.4, 0.1, 0.1], [1 / 8] * 8, [1 / 16] * 16):
             spec = Spectrum(sorted(vals, reverse=True))
             ref = q2_from_purity_value(float(np.sum(np.array(vals) ** 2)))
             assert abs(q2_spectral(spec) - ref) < 1e-8
@@ -202,6 +207,42 @@ class TestQ2:
             spec = Spectrum(vals)
             ref = q2_from_purity_value(float(np.sum(np.array(vals) ** 2)))
             assert abs(q2_spectral(spec) - ref) < 1e-8
+
+    def test_spectral_identity_large_spectra(self):
+        rng = np.random.default_rng(15)
+        specs = [random_spectrum(int(rng.integers(9, 65)), rng) for _ in range(200)]
+        specs += [spectrum_of(random_density(64, rng)) for _ in range(20)]
+        for spec in specs:
+            ref = q2_from_purity_value(float(np.sum(spec.values**2)))
+            assert abs(q2_spectral(spec) - ref) < 1e-12
+
+    def test_spectral_matches_high_precision_expansion(self):
+        # -ln sum_i l_i^{n+1} / prod_{j != i} (l_i - l_j), in 60 digits
+        rng = np.random.default_rng(16)
+        for _ in range(100):
+            spec = random_spectrum(int(rng.integers(2, 17)), rng)
+            with mpmath.workdps(60):
+                lam = [mpmath.mpf(float(v)) for v in spec.values]
+                n = len(lam)
+                total = sum(
+                    li ** (n + 1) / mpmath.fprod(li - lj for lj in lam if lj != li)
+                    for li in lam
+                )
+                want = -mpmath.log(total)
+            assert abs(q2_spectral(spec) - float(want)) < 1e-12
+
+    def test_spectral_runs_without_mpmath(self):
+        src = str(Path(scramblescope.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        code = (
+            "import sys; sys.modules['mpmath'] = None; "
+            "from scramblescope.infotheory import q2_spectral; "
+            "from scramblescope.qhilbert import Spectrum; "
+            "print(repr(q2_spectral(Spectrum([0.25] * 4))))"
+        )
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+        assert out.returncode == 0, out.stderr
+        assert abs(float(out.stdout) - math.log(8 / 5)) < 1e-15
 
     def test_contour_identity(self):
         rng = np.random.default_rng(5)

@@ -123,6 +123,11 @@ class TestSpectrum:
         with pytest.raises(ValueError):
             Spectrum([0.5, 0.4])
 
+    @pytest.mark.parametrize("vals", [[np.nan], [np.nan, 0.5]])
+    def test_rejects_non_finite(self, vals):
+        with pytest.raises(ValueError):
+            Spectrum(vals)
+
     def test_density_operator_spectrum_matches_eigvalsh(self):
         rng = np.random.default_rng(13)
         for d in (2, 4, 8):

@@ -61,6 +61,12 @@ class TestKernel:
         with pytest.raises(ValueError):
             kernel_value(0, 2, 0, 0)
 
+    def test_records_reject_codes_before_the_uint8_cast(self):
+        with pytest.raises(ValueError):
+            ShadowSet(np.array([[258]]), np.array([[0]]), 1)
+        with pytest.raises(ValueError):
+            Snapshot([-1], [0])
+
     def test_pair_kernel_is_sitewise_product(self):
         s1 = Snapshot([BASIS_X, BASIS_Z, BASIS_Y], [0, 1, 0])
         s2 = Snapshot([BASIS_X, BASIS_Z, BASIS_Z], [0, 1, 1])
@@ -221,5 +227,12 @@ class TestJsonl:
     def test_rejects_mismatched_line(self, tmp_path):
         path = tmp_path / "bad.jsonl"
         path.write_text('{"n_sites": 3, "seed": 0, "source_label": ""}\n{"b": "XZ", "o": "01"}\n')
+        with pytest.raises(ValueError):
+            read_jsonl(path)
+
+    @pytest.mark.parametrize("bits", ["02", "07"])
+    def test_rejects_outcome_out_of_range(self, tmp_path, bits):
+        path = tmp_path / "bad.jsonl"
+        path.write_text('{"n_sites": 2, "seed": 0, "source_label": ""}\n{"b": "XZ", "o": "%s"}\n' % bits)
         with pytest.raises(ValueError):
             read_jsonl(path)
