@@ -21,6 +21,7 @@ import numpy as np
 from . import __version__
 from .cliffordverify import clifford_convergence_experiment, summarize_convergence
 from .infotheory import (
+    HAAR_MIN_SAMPLES,
     Ensemble,
     chi2,
     haar_moment_mc,
@@ -122,6 +123,8 @@ class RunConfig:
         for key in ("batches", "trials", "n_spectra", "n_triples"):
             if getattr(self, key) < 1:
                 raise UsageError(f"{key} must be at least 1")
+        if self.n_haar < HAAR_MIN_SAMPLES:
+            raise UsageError(f"n_haar must be at least {HAAR_MIN_SAMPLES}")
         if not self.sample_counts or min(self.sample_counts) < 1:
             raise UsageError("sample_counts must be a non-empty list of counts >= 1")
         for key, values in (("metrics", self.metrics), ("sample_counts", self.sample_counts)):
@@ -296,9 +299,7 @@ def _cmd_mbl_cage(cfg: RunConfig):
     return {"mbl_cage": (("t", "chi2_full", "chi2_cage"), rows)}, extra
 
 
-def run_identity_suites(
-    seed: int, n_spectra: int = 1000, n_triples: int = 10000, n_haar: int = 100000
-) -> dict:
+def run_identity_suites(seed: int, n_spectra: int, n_triples: int, n_haar: int) -> dict:
     """Numeric property suites for the Q2 identities, concavity and moments."""
     suites = {}
 
@@ -323,9 +324,8 @@ def run_identity_suites(
     rng = substream_rng(seed, "identity:concavity")
     worst_gap = 0.0
     min_chi2 = math.inf
-    per_dim = max(1, n_triples // 3)
-    for d in (2, 4, 8):
-        for i in range(per_dim):
+    for j, d in enumerate((2, 4, 8)):  # the n_triples % 3 extra go to the smallest d
+        for i in range(n_triples // 3 + (j < n_triples % 3)):
             rho0 = random_density(d, rng)
             rho1 = random_density(d, rng)
             lam = float(rng.uniform())

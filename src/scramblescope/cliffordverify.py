@@ -13,11 +13,10 @@ from functools import lru_cache
 
 import numpy as np
 
-from .evolve import evolve, make_propagator
 from .infotheory import basis_moments, chi2_from_purities
 from .models import build_hamiltonian
 from .qhilbert import DensityOperator, HADAMARD, PAULI_I, PHASE_S, SiteSubset, partial_trace
-from .scramble import ScrambleScenario, exact_chi2_pair, prepare_ensemble
+from .scramble import ScrambleScenario, _trajectory, exact_chi2_pair, prepare_ensemble
 from .seeding import substream_rng
 
 _PHASE_TOL = 1e-10
@@ -196,13 +195,10 @@ def clifford_convergence_experiment(
         raise ValueError(f"duplicate sample counts in {sample_counts}")
     subset = _scenario_subsystem(s)
     d = 2 ** len(subset)
-    prop = make_propagator(build_hamiltonian(s.model))
-    psi1_0, psi2_0 = prepare_ensemble(s)
+    states = _trajectory(build_hamiltonian(s.model), prepare_ensemble(s), s.time_grid)
     c1 = [e.matrix for e in enumerate_c1()] if s.subsystem_size == 1 else None
     rows = []
-    for ti, t in enumerate(s.time_grid):
-        psi1 = evolve(prop, psi1_0, t)
-        psi2 = evolve(prop, psi2_0, t)
+    for ti, (t, (psi1, psi2)) in enumerate(zip(s.time_grid, states)):
         rho1 = partial_trace(psi1, subset)
         rho2 = partial_trace(psi2, subset)
         mix = DensityOperator(d, (rho1.matrix + rho2.matrix) / 2.0)

@@ -219,6 +219,9 @@ def basis_moments(rho: DensityOperator, unitaries: np.ndarray) -> np.ndarray:
 # Haar unitaries drawn and contracted per batch in haar_moment_mc.
 _HAAR_CHUNK = 4096
 
+# Fewest Haar samples haar_moment_mc accepts for a stable estimate.
+HAAR_MIN_SAMPLES = 1000
+
 
 def haar_moment_mc(
     rho: DensityOperator,
@@ -232,8 +235,8 @@ def haar_moment_mc(
     (Tr rho^2 + 1)/(d + 1); the "pure" moment is sum_j |<a_j|psi>|^4 for a
     fixed pure reference state, whose Haar mean is 2/(d + 1).
     """
-    if n_samples < 1000:
-        raise ValueError("need at least 1000 samples for a stable estimate")
+    if n_samples < HAAR_MIN_SAMPLES:
+        raise ValueError(f"need at least {HAAR_MIN_SAMPLES} samples for a stable estimate")
     d = rho.dim
     w, v = np.linalg.eigh(rho.matrix)
     psi = v[:, -1]  # any fixed pure state works; Haar averaging erases the choice

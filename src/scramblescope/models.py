@@ -24,8 +24,6 @@ MBL_SEED_DEFAULT = 42
 # Projector onto spin down (sigma_z = -1), the state that admits a neighbor flip.
 PXP_PROJECTOR = (np.eye(2, dtype=complex) - PAULI_Z) / 2.0
 
-_GENERATORS = ("pcg64",)
-
 # Largest chain held as a dense matrix. At 14 sites H alone takes 4 GiB of
 # complex128, and diagonalising it holds several matrices of that size.
 MAX_DENSE_SITES = 13
@@ -73,16 +71,13 @@ def draw_disorder(
     L: int,
     W: float = MBL_W_DEFAULT,
     seed: int = MBL_SEED_DEFAULT,
-    generator_id: str = "pcg64",
 ) -> DisorderRealization:
     """Draw L i.i.d. uniform fields on [-W, W], reproducible from the seed."""
     if W <= 0:
         raise ValueError("disorder width W must be positive")
-    if generator_id not in _GENERATORS:
-        raise ValueError(f"unknown generator_id {generator_id!r}")
     rng = np.random.default_rng(seed)
     fields = rng.uniform(-W, W, size=L)
-    return DisorderRealization(fields=fields, seed=seed, generator_id=generator_id, width=W)
+    return DisorderRealization(fields=fields, seed=seed, generator_id="pcg64", width=W)
 
 
 @dataclass(frozen=True)

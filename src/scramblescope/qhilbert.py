@@ -219,13 +219,8 @@ def apply_local_unitary(state: StateVector, site: int, u) -> StateVector:
     n = state.n_sites
     if site < 0 or site >= n:
         raise ValueError(f"site {site} out of range")
-    amps = _apply_local_unitary_raw(state.amplitudes, n, site, u)
-    return StateVector(n, amps)
-
-
-def _apply_local_unitary_raw(amps: np.ndarray, n: int, site: int, u: np.ndarray) -> np.ndarray:
-    shaped = amps.reshape(2 ** site, 2, 2 ** (n - site - 1))
-    return np.einsum("ab,ibj->iaj", u, shaped).reshape(-1)
+    shaped = state.amplitudes.reshape(2 ** site, 2, 2 ** (n - site - 1))
+    return StateVector(n, np.einsum("ab,ibj->iaj", u, shaped).reshape(-1))
 
 
 def partial_trace(state: StateVector, keep: SiteSubset) -> DensityOperator:
@@ -254,12 +249,31 @@ def eigensystem(h: HermitianOperator):
 
 def born_sample(state: StateVector, rng: np.random.Generator) -> np.ndarray:
     """Draw one computational-basis outcome with Born-rule probabilities."""
-    return _born_sample_raw(state.amplitudes, state.n_sites, rng)
+    bases = np.zeros((1, state.n_sites), dtype=np.uint8)
+    return _born_outcomes(state, PAULI_I[None], bases, rng.random(1))[0]
 
 
-def _born_sample_raw(amps: np.ndarray, n: int, rng: np.random.Generator) -> np.ndarray:
-    probs = np.abs(amps) ** 2
-    cum = np.cumsum(probs)
-    index = int(np.searchsorted(cum, rng.random() * cum[-1], side="right"))
-    index = min(index, len(amps) - 1)
-    return np.array([(index >> (n - 1 - i)) & 1 for i in range(n)], dtype=np.uint8)
+# Amplitudes one sampling chunk holds (4 MiB): 2**18 // 2**n snapshots of n sites.
+_SAMPLE_AMPLITUDES = 2 ** 18
+
+
+def _born_outcomes(state: StateVector, rotations, bases, uniforms) -> np.ndarray:
+    """Measure sites one after another; one row of (M, n) bits per uniform.
+
+    Row i rotates site s by rotations[bases[i, s]] and keeps the half its
+    target (uniform times total weight) falls in, less the weights it passes,
+    never a zero-weight half: the CDF-inversion index, with no division.
+    """
+    out = np.empty((len(uniforms), state.n_sites), dtype=np.uint8)
+    step = max(1, _SAMPLE_AMPLITUDES >> state.n_sites)
+    cuts = range(step, len(uniforms), step)
+    targets = uniforms * np.sum(np.abs(state.amplitudes) ** 2)
+    for b, target, o in zip(np.split(bases, cuts), np.split(targets, cuts), np.split(out, cuts)):
+        amps = np.broadcast_to(state.amplitudes, (len(b), state.dim))
+        for site in range(state.n_sites):
+            halves = rotations[b[:, site]] @ amps.reshape(len(b), 2, -1)
+            w = np.sum(np.abs(halves) ** 2, axis=2)
+            o[:, site] = bit = (target >= w[:, 0]) & (w[:, 1] > 0)
+            target = np.where(bit, target - w[:, 0], target)
+            amps = halves[np.arange(len(b)), bit.astype(np.intp)]
+    return out

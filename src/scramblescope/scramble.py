@@ -30,7 +30,7 @@ from .qhilbert import (
     purity,
 )
 from .seeding import substream_rng
-from .shadows import MoMConfig, chi2_estimate_many, sample_shadow_set
+from .shadows import MoMConfig, check_shadow_memory, chi2_estimate_many, sample_shadow_set
 
 METRIC_NAMES = ("chi2", "holevo", "chi_q")
 POLICIES = ("windows_containing_x", "all_subsets")
@@ -258,11 +258,13 @@ def shadow_metric_curve(s: ScrambleScenario, subsystem_sizes=None) -> list[dict]
     if subsystem_sizes is None:
         subsystem_sizes = (s.subsystem_size,)
     mom = MoMConfig(n_batches=s.n_batches, batch_size=s.shots // s.n_batches)
-    states = _trajectory(build_hamiltonian(s.model), prepare_ensemble(s), s.time_grid)
     subsets_by_size = [
         (k, qualifying_subsets(replace(s, subsystem_size=k, subset_policy="all_subsets")))
         for k in subsystem_sizes
     ]
+    kernel_sites = max(len({x for sub in subsets for x in sub}) for _, subsets in subsets_by_size)
+    check_shadow_memory(s.model.n_sites, s.shots, mom, kernel_sites)
+    states = _trajectory(build_hamiltonian(s.model), prepare_ensemble(s), s.time_grid)
     rows = []
     for ti, (t, pair) in enumerate(zip(s.time_grid, states)):
         set1, set2 = (

@@ -21,20 +21,25 @@ from .qhilbert import (
     PHASE_S,
     SiteSubset,
     StateVector,
-    _apply_local_unitary_raw,
-    _born_sample_raw,
+    _born_outcomes,
 )
 
 BASIS_X, BASIS_Y, BASIS_Z = 0, 1, 2
 BASIS_CHARS = "XYZ"
 
+# Largest shadow array budget, in bytes. A shadow-curve time point holds both
+# states' codes, up to 40 bytes per snapshot and site once packed to int64;
+# a batch of B snapshots holds one float64 B x B kernel matrix per measured
+# site, and up to five more for the running product and its indices.
+MAX_SHADOW_BYTES = 2 ** 31
+
 # Rotation applied before a computational-basis measurement so that the
 # outcome projects onto the chosen Pauli eigenbasis.
-_BASIS_ROTATIONS = (
+_BASIS_ROTATIONS = np.array([
     HADAMARD,                       # X
     HADAMARD @ PHASE_S.conj().T,    # Y
     PAULI_I,                        # Z
-)
+])
 
 # Single-site snapshot factor 3 U^dag |b><b| U - I for each (basis, bit).
 def _snapshot_factor(basis: int, bit: int) -> np.ndarray:
@@ -149,17 +154,6 @@ class MoMConfig:
             raise ValueError(f"batches of {self.batch_size} are too small")
 
 
-def _measure(state: StateVector, bases: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Rotate each site into its Pauli basis, then draw the outcome bits."""
-    n = state.n_sites
-    amps = state.amplitudes
-    for site in range(n):
-        b = int(bases[site])
-        if b != BASIS_Z:
-            amps = _apply_local_unitary_raw(amps, n, site, _BASIS_ROTATIONS[b])
-    return _born_sample_raw(amps, n, rng)
-
-
 def sample_snapshot(
     state: StateVector,
     rng: np.random.Generator,
@@ -169,7 +163,8 @@ def sample_snapshot(
     if bases is None:
         bases = rng.integers(0, 3, size=state.n_sites)
     bases = np.asarray(bases, dtype=np.uint8)
-    return Snapshot(bases, _measure(state, bases, rng))
+    outcomes = _born_outcomes(state, _BASIS_ROTATIONS, bases[None], rng.random(1))
+    return Snapshot(bases, outcomes[0])
 
 
 def sample_shadow_set(
@@ -181,10 +176,20 @@ def sample_shadow_set(
 ) -> ShadowSet:
     n = state.n_sites
     bases = rng.integers(0, 3, size=(n_snapshots, n)).astype(np.uint8)
-    outcomes = np.empty((n_snapshots, n), dtype=np.uint8)
-    for i in range(n_snapshots):
-        outcomes[i] = _measure(state, bases[i], rng)
+    outcomes = _born_outcomes(state, _BASIS_ROTATIONS, bases, rng.random(n_snapshots))
     return ShadowSet(bases, outcomes, n, source_label=source_label, seed=seed)
+
+
+def check_shadow_memory(n_sites: int, n_snapshots: int, mom: MoMConfig, kernel_sites: int) -> None:
+    """Refuse a shadow budget whose arrays would exceed MAX_SHADOW_BYTES."""
+    codes = 40 * n_snapshots * n_sites
+    kernels = 8 * mom.batch_size ** 2 * (kernel_sites + 5)
+    if max(codes, kernels) > MAX_SHADOW_BYTES:
+        raise ValueError(
+            f"{n_snapshots} snapshots of {n_sites} sites in batches of {mom.batch_size} "
+            f"need {max(codes, kernels) / 2 ** 30:.3g} GiB, above the shadow memory "
+            f"limit of {MAX_SHADOW_BYTES / 2 ** 30:g} GiB"
+        )
 
 
 def pair_kernel(s1: Snapshot, s2: Snapshot, subset: SiteSubset) -> float:

@@ -11,7 +11,8 @@ import pytest
 
 import scramblescope
 
-from scramblescope.cli import RunConfig, UsageError, main, parse_config, run
+from scramblescope import cli, scramble
+from scramblescope.cli import RunConfig, UsageError, main, parse_config, run, run_identity_suites
 
 
 class TestParseConfig:
@@ -90,6 +91,7 @@ class TestConfigTypes:
             ("grid", {"metrics": ["chi2", "chi2"]}),
             ("identity-suite", {"n_spectra": 0}),
             ("identity-suite", {"n_triples": 0}),
+            ("identity-suite", {"n_haar": 10}),
         ],
     )
     def test_bad_count_is_usage_error(self, tmp_path, capsys, command, bad):
@@ -246,6 +248,15 @@ class TestIdentitySuiteCommand:
         report = json.loads((out / "identity_suite.json").read_text())
         assert report["pass"] is True
 
+    def test_runs_the_recorded_number_of_triples(self, monkeypatch):
+        dims = []
+        real = cli.random_density
+        monkeypatch.setattr(cli, "random_density", lambda d, rng: dims.append(d) or real(d, rng))
+        run_identity_suites(0, n_spectra=1, n_triples=4, n_haar=1000)
+        # two states per triple, 4 triples split 2/1/1 over d = 2, 4, 8; then
+        # the Haar suite's two states
+        assert dims[:10] == [2, 2, 2, 2, 4, 4, 8, 8, 2, 4]
+
 
 class TestMainErrors:
     def test_usage_error_exit_code(self, capsys):
@@ -261,6 +272,25 @@ class TestMainErrors:
         err = capsys.readouterr().err
         assert err.startswith("error: ValueError:") and "dense limit" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["--model", "pxp", "--length", "6", "--shots", "1000000000", "--steps", "1"],
+            ["--model", "tfim", "--length", "4", "--shots", "60000", "--batches", "2",
+             "--steps", "1"],
+        ],
+    )
+    def test_shadow_budget_above_memory_limit_is_refused(self, tmp_path, capsys, monkeypatch, args):
+        def must_not_sample(*a, **k):
+            raise AssertionError("sampled before the memory check")
+
+        monkeypatch.setattr(scramble, "sample_shadow_set", must_not_sample)
+        out = tmp_path / "o"
+        assert main(["shadow-curve", *args, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ValueError:") and "memory limit" in err
+        assert not out.exists()
 
     def test_failed_run_leaves_no_output_dir(self, tmp_path, capsys):
         out = tmp_path / "o"

@@ -5,10 +5,16 @@ import itertools
 import numpy as np
 import pytest
 
+from scramblescope import qhilbert
 from scramblescope.qhilbert import (
+    HADAMARD,
+    PAULI_I,
+    PHASE_S,
     SiteSubset,
     StateVector,
+    apply_local_unitary,
     basis_state,
+    born_sample,
     partial_trace,
     purity,
 )
@@ -109,6 +115,90 @@ class TestSnapshotSampling:
         s = sample_shadow_set(psi, 17, np.random.default_rng(1), "lbl", 7)
         assert len(s) == 17 and s.bases.shape == (17, 4)
         assert s.source_label == "lbl" and s.seed == 7
+
+
+# Reference rotations into the X, Y and Z eigenbases.
+REFERENCE_ROTATIONS = (HADAMARD, HADAMARD @ PHASE_S.conj().T, PAULI_I)
+
+
+def reference_outcome(state, bases, u):
+    """Rotate every site, then invert the cumulative Born distribution."""
+    for site, b in enumerate(bases):
+        state = apply_local_unitary(state, site, REFERENCE_ROTATIONS[b])
+    cum = np.cumsum(np.abs(state.amplitudes) ** 2)
+    index = int(np.searchsorted(cum, u * cum[-1], side="right"))
+    n = state.n_sites
+    return [(index >> (n - 1 - i)) & 1 for i in range(n)]
+
+
+def sparse_state(n, rng):
+    """Random state with about half its amplitudes set to zero."""
+    amps = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
+    amps[rng.random(2**n) < 0.5] = 0.0
+    amps[rng.integers(2**n)] = 1.0
+    return StateVector(n, amps / np.linalg.norm(amps))
+
+
+class _FixedUniform:
+    """Generator stand-in whose uniforms all equal one value."""
+
+    def __init__(self, seed, u):
+        self._rng, self._u = np.random.default_rng(seed), u
+
+    def integers(self, *args, **kwargs):
+        return self._rng.integers(*args, **kwargs)
+
+    def random(self, size):
+        return np.full(size, self._u)
+
+
+class TestSequentialSampler:
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_shadow_set_matches_reference(self, n):
+        for seed in range(200):
+            rng = np.random.default_rng(seed)
+            psi = (random_state if seed % 2 else sparse_state)(n, rng)
+            shadows = sample_shadow_set(psi, 4, np.random.default_rng([n, seed]))
+            draws = np.random.default_rng([n, seed])
+            bases, uniforms = draws.integers(0, 3, size=(4, n)), draws.random(4)
+            assert np.array_equal(shadows.bases, bases)
+            for row, u in enumerate(uniforms):
+                assert list(shadows.outcomes[row]) == reference_outcome(psi, bases[row], u)
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_forced_bases_and_born_sample_match_reference(self, n):
+        for seed in range(200):
+            rng = np.random.default_rng(seed)
+            psi = (random_state if seed % 2 else sparse_state)(n, rng)
+            forced = rng.integers(0, 3, size=n)
+            u = np.random.default_rng([n, seed]).random()
+            snap = sample_snapshot(psi, np.random.default_rng([n, seed]), bases=forced)
+            assert list(snap.outcomes) == reference_outcome(psi, forced, u)
+            out = born_sample(psi, np.random.default_rng([n, seed]))
+            assert list(out) == reference_outcome(psi, [2] * n, u)
+
+    def test_chunks_do_not_change_the_draws(self, monkeypatch):
+        psi = random_state(5, np.random.default_rng(3))
+        whole = sample_shadow_set(psi, 50, np.random.default_rng(4))
+        monkeypatch.setattr(qhilbert, "_SAMPLE_AMPLITUDES", 7 * 2**5)
+        chunked = sample_shadow_set(psi, 50, np.random.default_rng(4))
+        assert np.array_equal(whole.outcomes, chunked.outcomes)
+
+    # The ends of [0, 1): 0 itself and the largest double below 1.
+    @pytest.mark.parametrize("u", [0.0, 1.0 - 2.0**-53])
+    def test_never_picks_a_zero_weight_half(self, u):
+        for seed in range(2000):
+            rng = np.random.default_rng(seed)
+            psi = sparse_state(int(rng.integers(1, 7)), rng)
+            out = born_sample(psi, _FixedUniform(seed, u))
+            index = int("".join(str(b) for b in out), 2)
+            assert psi.amplitudes[index] != 0
+            snap = sample_shadow_set(psi, 1, _FixedUniform(seed, u))
+            rotated = psi
+            for site, b in enumerate(snap.bases[0]):
+                rotated = apply_local_unitary(rotated, site, REFERENCE_ROTATIONS[b])
+            index = int("".join(str(b) for b in snap.outcomes[0]), 2)
+            assert abs(rotated.amplitudes[index]) > 0
 
 
 class TestMedianOfMeans:
