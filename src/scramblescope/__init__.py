@@ -15,7 +15,6 @@ from .qhilbert import (  # noqa: F401
     kron_embed,
     partial_trace,
     purity,
-    spectrum_of,
 )
 from .models import (  # noqa: F401
     DisorderRealization,
@@ -63,8 +62,6 @@ from .scramble import (  # noqa: F401
     shadow_metric_curve,
 )
 from .cliffordverify import (  # noqa: F401
-    CliffordCircuit,
-    CliffordElement,
     clifford_convergence_experiment,
     enumerate_c1,
     purity_from_basis_sampling,

@@ -35,7 +35,7 @@ from .infotheory import (
     von_neumann,
 )
 from .models import MBL_SEED_DEFAULT, MBL_W_DEFAULT, ModelSpec, draw_disorder
-from .qhilbert import DensityOperator, SiteSubset, spectrum_of
+from .qhilbert import DensityOperator, SiteSubset
 from .scramble import (
     METRIC_NAMES,
     ScrambleScenario,
@@ -294,7 +294,7 @@ def _cmd_mbl_cage(cfg: RunConfig):
     if start is None:
         start = scenario.perturbation_site - cfg.cage_length // 2
     cage = SiteSubset(range(start, start + cfg.cage_length))
-    rows = mbl_cage_compare(cfg.length, cage, scenario, cfg.boundary_scale)
+    rows = mbl_cage_compare(cage, scenario, cfg.boundary_scale)
     extra = {"scenario": scenario.scenario_echo(), "cage_sites": list(cage.indices)}
     return {"mbl_cage": (("t", "chi2_full", "chi2_cage"), rows)}, extra
 
@@ -377,8 +377,7 @@ def run_identity_suites(seed: int, n_spectra: int, n_triples: int, n_haar: int) 
     order_ok = True
     for i in range(500):
         rho = random_density(int(2 ** rng.integers(1, 4)), rng)
-        spec = spectrum_of(rho)
-        q = subentropy(spec)
+        q = subentropy(rho.spectrum)
         s = von_neumann(rho)
         order_ok = order_ok and -1e-10 <= q <= s + 1e-10
         order_ok = order_ok and -1e-12 <= q2_purity(rho) <= math.log(2.0) + 1e-12

@@ -8,7 +8,6 @@ density matrix so that only unitary-sampling error is visible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -25,38 +24,6 @@ _PHASE_TOL = 1e-10
 CIRCUIT_DEPTH = 50
 
 
-@dataclass(frozen=True)
-class CliffordElement:
-    """One of the 24 phase-distinct single-qubit Clifford unitaries."""
-
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=complex)
-        object.__setattr__(self, "matrix", m)
-        if np.max(np.abs(m @ m.conj().T - np.eye(2))) > 1e-12:
-            raise ValueError("Clifford element is not unitary")
-
-
-@dataclass(frozen=True)
-class CliffordCircuit:
-    """Gate list over {H, S, CNOT} with its qubit count and depth."""
-
-    n_qubits: int
-    gates: tuple
-    depth: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "gates", tuple(self.gates))
-        for name, sites in self.gates:
-            if name not in ("H", "S", "CNOT"):
-                raise ValueError(f"unknown gate {name!r}")
-            if any(not 0 <= q < self.n_qubits for q in sites):
-                raise ValueError("gate site out of range")
-            if name == "CNOT" and (len(sites) != 2 or sites[0] == sites[1]):
-                raise ValueError("CNOT needs distinct control and target")
-
-
 def _phase_canonical(u: np.ndarray) -> np.ndarray:
     flat = u.reshape(-1)
     pivot = flat[np.argmax(np.abs(flat) > _PHASE_TOL)]
@@ -68,8 +35,8 @@ def _phase_key(u: np.ndarray) -> tuple:
     return tuple(c.reshape(-1).real) + tuple(c.reshape(-1).imag)
 
 
-def enumerate_c1() -> list[CliffordElement]:
-    """All 24 single-qubit Cliffords, generated as words in {H, S}."""
+def enumerate_c1() -> list[np.ndarray]:
+    """All 24 single-qubit Clifford matrices, generated as words in {H, S}."""
     seen = {_phase_key(PAULI_I): PAULI_I.copy()}
     frontier = [PAULI_I.copy()]
     while frontier:
@@ -85,7 +52,7 @@ def enumerate_c1() -> list[CliffordElement]:
     elements = list(seen.values())
     if len(elements) != 24:
         raise ArithmeticError(f"Clifford enumeration found {len(elements)} elements")
-    return [CliffordElement(m) for m in elements]
+    return elements
 
 
 def same_up_to_phase(a: np.ndarray, b: np.ndarray, atol: float = 1e-10) -> bool:
@@ -114,23 +81,17 @@ def _gate_unitary(name: str, sites: tuple, n_qubits: int) -> np.ndarray:
     return u
 
 
-def circuit_unitary(circuit: CliffordCircuit) -> np.ndarray:
-    u = np.eye(2 ** circuit.n_qubits, dtype=complex)
-    for name, sites in circuit.gates:
-        u = _gate_unitary(name, tuple(sites), circuit.n_qubits) @ u
-    return u
+def random_clifford_circuit(n_qubits: int, depth: int, rng: np.random.Generator) -> np.ndarray:
+    """Dense unitary of depth gates over {H, S, CNOT}, each drawn uniformly.
 
-
-def random_clifford_circuit(
-    n_qubits: int, depth: int, rng: np.random.Generator
-) -> tuple[CliffordCircuit, np.ndarray]:
-    """Uniform gate choice per layer; returns the circuit and its dense unitary."""
+    Each gate multiplies the running product from the left, as it is drawn.
+    """
     if n_qubits < 1:
         raise ValueError("need at least one qubit")
     if depth < 1:
         raise ValueError("depth must be at least 1")
     names = ("H", "S", "CNOT") if n_qubits >= 2 else ("H", "S")
-    gates = []
+    u = np.eye(2 ** n_qubits, dtype=complex)
     for _ in range(depth):
         name = names[rng.integers(len(names))]
         if name == "CNOT":
@@ -138,11 +99,11 @@ def random_clifford_circuit(
             target = int(rng.integers(n_qubits - 1))
             if target >= control:
                 target += 1
-            gates.append((name, (control, target)))
+            sites = (control, target)
         else:
-            gates.append((name, (int(rng.integers(n_qubits)),)))
-    circuit = CliffordCircuit(n_qubits=n_qubits, gates=tuple(gates), depth=depth)
-    return circuit, circuit_unitary(circuit)
+            sites = (int(rng.integers(n_qubits)),)
+        u = _gate_unitary(name, sites, n_qubits) @ u
+    return u
 
 
 def purity_from_basis_sampling(rho_A: DensityOperator, unitaries) -> float:
@@ -159,10 +120,10 @@ def purity_from_basis_sampling(rho_A: DensityOperator, unitaries) -> float:
     if stack.shape[1:] != (d, d):
         raise ValueError(f"unitary stack shape {stack.shape} does not match dim {d}")
     moments = basis_moments(rho_A, stack)
-    # Python's sum adds the floats in order (through Python 3.11), matching a
-    # running total to the bit, which keeps clifford_verify.csv byte-identical;
-    # np.sum's pairwise order would change its last digits.
-    return (d + 1) * (sum(moments.tolist()) / len(stack)) - 1.0
+    # cumsum adds in order, a plain running total on every Python version;
+    # sum() compensates from Python 3.12 on and np.sum adds pairwise, and
+    # either would change the last digits of clifford_verify.csv.
+    return (d + 1) * (float(np.cumsum(moments)[-1]) / len(stack)) - 1.0
 
 
 def _scenario_subsystem(s: ScrambleScenario) -> SiteSubset:
@@ -196,7 +157,7 @@ def clifford_convergence_experiment(
     subset = _scenario_subsystem(s)
     d = 2 ** len(subset)
     states = _trajectory(build_hamiltonian(s.model), prepare_ensemble(s), s.time_grid)
-    c1 = [e.matrix for e in enumerate_c1()] if s.subsystem_size == 1 else None
+    c1 = enumerate_c1() if s.subsystem_size == 1 else None
     rows = []
     for ti, (t, (psi1, psi2)) in enumerate(zip(s.time_grid, states)):
         rho1 = partial_trace(psi1, subset)
@@ -213,8 +174,7 @@ def clifford_convergence_experiment(
                     unitaries = [c1[i] for i in idx]
                 else:
                     unitaries = [
-                        random_clifford_circuit(2, CIRCUIT_DEPTH, rng)[1]
-                        for _ in range(n_samples)
+                        random_clifford_circuit(2, CIRCUIT_DEPTH, rng) for _ in range(n_samples)
                     ]
                 p1 = purity_from_basis_sampling(rho1, unitaries)
                 p2 = purity_from_basis_sampling(rho2, unitaries)

@@ -26,7 +26,7 @@ class Propagator:
         if v.shape != (self.dim, self.dim) or w.shape != (self.dim,):
             raise ValueError("eigendecomposition shapes do not match dim")
         gram = v.conj().T @ v
-        if np.max(np.abs(gram - np.eye(self.dim))) > 1e-8:
+        if not np.max(np.abs(gram - np.eye(self.dim))) <= 1e-8:  # NaN fails it
             raise ValueError("eigenvectors are not orthonormal")
 
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qhilbert import DensityOperator, Spectrum, purity, spectrum_of
+from .qhilbert import DensityOperator, Spectrum, purity
 
 # Trapezoid rule in u = ln s for the subentropy integral: step 1/4 on
 # [-40, 40]. The integrand decays like e^{-|u|} at both ends, and its poles
@@ -39,10 +39,10 @@ class Ensemble:
         mem = tuple((float(p), rho) for p, rho in members)
         if not mem:
             raise ValueError("ensemble must be nonempty")
-        if any(p < -1e-12 for p, _ in mem):
+        if not all(p >= -1e-12 for p, _ in mem):  # NaN fails it
             raise ValueError("probabilities must be non-negative")
         total = sum(p for p, _ in mem)
-        if abs(total - 1.0) > 1e-10:
+        if not abs(total - 1.0) <= 1e-10:
             raise ValueError(f"probabilities sum to {total}, expected 1")
         dims = {rho.dim for _, rho in mem}
         if len(dims) != 1:
@@ -90,15 +90,14 @@ def subentropy(spec: Spectrum) -> float:
     which has no eigenvalue gaps in it. The integral is a trapezoid sum in
     u = ln s, with g(s) = s/(1+s) expm1(log1p(1/s) - sum_j log1p(l_j/s)).
     """
-    lam = np.clip(spec.values, 0.0, None)
-    lam = lam / lam.sum()
+    lam = spec.values / spec.values.sum()
     d = _SUB_LOG1P_INV_S - np.log1p(np.outer(lam, _SUB_INV_S)).sum(axis=0)
     return 0.0 - float(np.expm1(d) @ _SUB_W)  # a pure state gives +0.0, not -0.0
 
 
 def chi_q(e: Ensemble) -> float:
     """Subentropy of the average state minus the average member subentropy."""
-    return _mixing_gain(e, lambda rho: subentropy(spectrum_of(rho)))
+    return _mixing_gain(e, lambda rho: subentropy(rho.spectrum))
 
 
 def q2_from_purity_value(p: float) -> float:
@@ -119,7 +118,7 @@ def q2_spectral(spec: Spectrum) -> float:
     through n+1 steps adds only non-negative terms and has no gaps in it, so
     degenerate and zero eigenvalues need no special case.
     """
-    lam = np.clip(spec.values, 0.0, None)
+    lam = spec.values
     row = np.zeros_like(lam)
     row[0] = 1.0
     for _ in range(len(lam) + 1):

@@ -43,7 +43,7 @@ class DisorderRealization:
         object.__setattr__(self, "fields", f)
         if f.ndim != 1 or f.size == 0:
             raise ValueError("disorder fields must be a nonempty 1-D array")
-        if np.any(np.abs(f) > self.width + 1e-12):
+        if not np.all(np.abs(f) <= self.width + 1e-12):  # NaN fails it
             raise ValueError("disorder field outside [-W, W]")
 
     def to_json(self) -> str:
@@ -73,8 +73,8 @@ def draw_disorder(
     seed: int = MBL_SEED_DEFAULT,
 ) -> DisorderRealization:
     """Draw L i.i.d. uniform fields on [-W, W], reproducible from the seed."""
-    if W <= 0:
-        raise ValueError("disorder width W must be positive")
+    if not 0 < W < math.inf:
+        raise ValueError(f"disorder width W must be positive and finite, got {W}")
     rng = np.random.default_rng(seed)
     fields = rng.uniform(-W, W, size=L)
     return DisorderRealization(fields=fields, seed=seed, generator_id="pcg64", width=W)

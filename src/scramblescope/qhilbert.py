@@ -10,8 +10,7 @@ All matrices are dense. Hamiltonians are refused above 13 sites
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -53,7 +52,7 @@ class StateVector:
                 f"2**{self.n_sites} basis states"
             )
         norm = np.sum(np.abs(amps) ** 2)
-        if abs(norm - 1.0) > NORM_ATOL:
+        if not abs(norm - 1.0) <= NORM_ATOL:  # written so that NaN fails it
             raise ValueError(f"state not normalized: |psi|^2 = {norm}")
 
     @property
@@ -113,11 +112,16 @@ class SiteSubset:
 
 @dataclass(frozen=True)
 class DensityOperator:
-    """Hermitian, unit-trace, positive-semidefinite operator on a subsystem."""
+    """Hermitian, unit-trace, positive-semidefinite operator on a subsystem.
+
+    Its spectrum is built at construction, and building it is the
+    positivity check.
+    """
 
     dim: int
     matrix: np.ndarray
     site_labels: tuple = ()
+    spectrum: Spectrum = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         m = _as_complex_array(self.matrix)
@@ -125,20 +129,12 @@ class DensityOperator:
         object.__setattr__(self, "site_labels", tuple(self.site_labels))
         if m.shape != (self.dim, self.dim):
             raise ValueError(f"matrix shape {m.shape} does not match dim {self.dim}")
-        if np.max(np.abs(m - m.conj().T)) > HERM_ATOL:
+        if not np.max(np.abs(m - m.conj().T)) <= HERM_ATOL:
             raise ValueError("density matrix is not Hermitian")
         tr = np.trace(m).real
-        if abs(tr - 1.0) > HERM_ATOL:
+        if not abs(tr - 1.0) <= HERM_ATOL:
             raise ValueError(f"density matrix trace {tr} != 1")
-        w = np.linalg.eigvalsh(m)
-        if w[0] < -EIG_ATOL:
-            raise ValueError(f"density matrix has negative eigenvalue {w[0]}")
-        object.__setattr__(self, "_eigenvalues", np.clip(w[::-1], 0.0, None))
-
-    @cached_property
-    def spectrum(self) -> "Spectrum":
-        """The positivity check's eigenvalues, descending and clipped at 0."""
-        return Spectrum(self._eigenvalues)
+        object.__setattr__(self, "spectrum", Spectrum(np.linalg.eigvalsh(m)[::-1]))
 
 
 @dataclass(frozen=True)
@@ -153,19 +149,22 @@ class HermitianOperator:
         object.__setattr__(self, "matrix", m)
         if m.shape != (self.dim, self.dim):
             raise ValueError(f"matrix shape {m.shape} does not match dim {self.dim}")
-        if np.max(np.abs(m - m.conj().T)) > HERM_ATOL:
+        if not np.max(np.abs(m - m.conj().T)) <= HERM_ATOL:
             raise ValueError("operator is not Hermitian")
 
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Eigenvalues of a density operator, sorted in descending order."""
+    """Eigenvalues of a density operator, sorted in descending order.
+
+    Values below -EIG_ATOL are refused; the round-off above it that lies
+    below 0 is clipped to 0.
+    """
 
     values: np.ndarray
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=float)
-        object.__setattr__(self, "values", v)
         if v.ndim != 1 or v.size == 0:
             raise ValueError("spectrum must be a nonempty 1-D array")
         total = v.sum()
@@ -177,13 +176,10 @@ class Spectrum:
             raise ValueError(f"eigenvalues outside [0, 1]: {v}")
         if abs(total - 1.0) > 1e-8:
             raise ValueError(f"spectrum sums to {total}, expected 1")
+        object.__setattr__(self, "values", np.clip(v, 0.0, None))
 
     def __len__(self) -> int:
         return len(self.values)
-
-
-def spectrum_of(rho: DensityOperator) -> Spectrum:
-    return rho.spectrum
 
 
 def kron_embed(local_ops, n_sites: int) -> HermitianOperator:
@@ -214,7 +210,7 @@ def apply_local_unitary(state: StateVector, site: int, u) -> StateVector:
     u = _as_complex_array(u)
     if u.shape != (2, 2):
         raise ValueError("local unitary must be 2x2")
-    if np.max(np.abs(u @ u.conj().T - PAULI_I)) > NORM_ATOL:
+    if not np.max(np.abs(u @ u.conj().T - PAULI_I)) <= NORM_ATOL:
         raise ValueError("matrix is not unitary")
     n = state.n_sites
     if site < 0 or site >= n:

@@ -27,10 +27,12 @@ from .qhilbert import (
 BASIS_X, BASIS_Y, BASIS_Z = 0, 1, 2
 BASIS_CHARS = "XYZ"
 
-# Largest shadow array budget, in bytes. A shadow-curve time point holds both
-# states' codes, up to 40 bytes per snapshot and site once packed to int64;
-# a batch of B snapshots holds one float64 B x B kernel matrix per measured
-# site, and up to five more for the running product and its indices.
+# Largest shadow array budget, in bytes. A shadow-curve time point peaks at
+# 11 bytes per snapshot and site while it samples the second state: its int64
+# basis draw and their uint8 copy, next to the first state's uint8 records
+# (tracemalloc: 11.0 at 800,000 TFIM L=6 shots). A batch of B snapshots
+# holds one float64 B x B kernel matrix per measured site, and up to five
+# more for the running product and its indices.
 MAX_SHADOW_BYTES = 2 ** 31
 
 # Rotation applied before a computational-basis measurement so that the
@@ -129,8 +131,8 @@ class ShadowSet:
         return Snapshot(self.bases[i], self.outcomes[i])
 
     def codes(self) -> np.ndarray:
-        """Packed per-site records basis*2 + bit, shape (M, n_sites)."""
-        return (self.bases.astype(np.int64) * 2 + self.outcomes).astype(np.int64)
+        """Packed per-site records basis*2 + bit, uint8 of shape (M, n_sites)."""
+        return self.bases * 2 + self.outcomes
 
 
 @dataclass(frozen=True)
@@ -182,7 +184,7 @@ def sample_shadow_set(
 
 def check_shadow_memory(n_sites: int, n_snapshots: int, mom: MoMConfig, kernel_sites: int) -> None:
     """Refuse a shadow budget whose arrays would exceed MAX_SHADOW_BYTES."""
-    codes = 40 * n_snapshots * n_sites
+    codes = 11 * n_snapshots * n_sites
     kernels = 8 * mom.batch_size ** 2 * (kernel_sites + 5)
     if max(codes, kernels) > MAX_SHADOW_BYTES:
         raise ValueError(

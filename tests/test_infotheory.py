@@ -30,7 +30,7 @@ from scramblescope.infotheory import (
     subentropy,
     von_neumann,
 )
-from scramblescope.qhilbert import DensityOperator, Spectrum, spectrum_of
+from scramblescope.qhilbert import DensityOperator, Spectrum
 
 
 def pure_density(vec):
@@ -167,7 +167,7 @@ class TestSubentropy:
         rng = np.random.default_rng(2)
         for _ in range(50):
             rho = random_density(int(rng.integers(2, 7)), rng)
-            assert subentropy(spectrum_of(rho)) <= von_neumann(rho) + 1e-10
+            assert subentropy(rho.spectrum) <= von_neumann(rho) + 1e-10
 
 
 class TestChiQ:
@@ -211,7 +211,7 @@ class TestQ2:
     def test_spectral_identity_large_spectra(self):
         rng = np.random.default_rng(15)
         specs = [random_spectrum(int(rng.integers(9, 65)), rng) for _ in range(200)]
-        specs += [spectrum_of(random_density(64, rng)) for _ in range(20)]
+        specs += [random_density(64, rng).spectrum for _ in range(20)]
         for spec in specs:
             ref = q2_from_purity_value(float(np.sum(spec.values**2)))
             assert abs(q2_spectral(spec) - ref) < 1e-12
@@ -268,7 +268,7 @@ class TestQ2:
     def test_purity_route_matches(self):
         rho = random_density(5, np.random.default_rng(6))
         ref = q2_purity(rho)
-        assert abs(q2_spectral(spectrum_of(rho)) - ref) < 1e-8
+        assert abs(q2_spectral(rho.spectrum) - ref) < 1e-8
 
 
 class TestChi2:

@@ -20,7 +20,6 @@ from scramblescope.qhilbert import (
     StateVector,
     partial_trace,
     purity,
-    spectrum_of,
 )
 from scramblescope.shadows import median_of_means
 
@@ -77,7 +76,7 @@ def test_q2_concave_and_chi2_nonnegative(seed, log2d, lam):
 def test_subentropy_below_von_neumann(seed):
     rng = np.random.default_rng(seed)
     rho = random_density(int(rng.integers(2, 7)), rng)
-    assert subentropy(spectrum_of(rho)) <= von_neumann(rho) + 1e-9
+    assert subentropy(rho.spectrum) <= von_neumann(rho) + 1e-9
 
 
 @given(seeds(), st.integers(1, 4))

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from scramblescope.qhilbert import (
+    EIG_ATOL,
     DensityOperator,
     HermitianOperator,
     PAULI_I,
@@ -22,7 +23,6 @@ from scramblescope.qhilbert import (
     kron_embed,
     partial_trace,
     purity,
-    spectrum_of,
 )
 
 
@@ -136,11 +136,17 @@ class TestSpectrum:
             rho = DensityOperator(d, m / np.trace(m).real)
             want = np.linalg.eigvalsh(rho.matrix)[::-1]
             assert np.max(np.abs(rho.spectrum.values - want)) < 1e-14
-            assert spectrum_of(rho) is rho.spectrum
 
     def test_spectrum_of_maximally_mixed(self):
         rho = DensityOperator(4, np.eye(4) / 4)
-        assert np.allclose(spectrum_of(rho).values, 0.25)
+        assert np.allclose(rho.spectrum.values, 0.25)
+
+    def test_clips_round_off_below_zero(self):
+        tiny = 0.5 * EIG_ATOL
+        spec = Spectrum([0.5 + tiny, 0.5 + tiny, -tiny, -EIG_ATOL])
+        assert spec.values.tolist() == [0.5 + tiny, 0.5 + tiny, 0.0, 0.0]
+        with pytest.raises(ValueError):
+            Spectrum([0.5 + 2 * EIG_ATOL, 0.5 + EIG_ATOL, -3 * EIG_ATOL])
 
 
 class TestKronEmbed:

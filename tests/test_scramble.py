@@ -206,7 +206,7 @@ class TestMblCage:
         L = 6
         s = scenario(kind="MBL", L=L, site=2, size=2, times=(0.0, 2.0, 5.0))
         cage = SiteSubset([1, 2, 3])
-        rows = mbl_cage_compare(L, cage, s, boundary_coupling_scale=0.0)
+        rows = mbl_cage_compare(cage, s, boundary_coupling_scale=0.0)
         for r in rows:
             assert abs(r["chi2_full"] - r["chi2_cage"]) < 1e-8
 
@@ -214,7 +214,7 @@ class TestMblCage:
         L = 6
         s = scenario(kind="MBL", L=L, site=2, size=2, times=(0.0, 10.0, 20.0))
         cage = SiteSubset([1, 2, 3])
-        rows = mbl_cage_compare(L, cage, s, boundary_coupling_scale=1.0)
+        rows = mbl_cage_compare(cage, s, boundary_coupling_scale=1.0)
         diffs = [abs(r["chi2_full"] - r["chi2_cage"]) for r in rows]
         assert diffs[0] < 1e-10  # identical at t=0
         assert max(diffs) > 1e-6  # leakage is visible at late times
@@ -230,7 +230,7 @@ class TestMblCage:
             time_grid=np.array([0.0, 1.5, 4.0]),
         )
         cage = SiteSubset([1, 2, 3])
-        rows = mbl_cage_compare(L, cage, s, boundary_coupling_scale=0.5)
+        rows = mbl_cage_compare(cage, s, boundary_coupling_scale=0.5)
         bond_scale = np.array([0.5, 1.0, 1.0, 0.5, 1.0])
         h_full = build_mbl(L, disorder=dis, bond_scale=bond_scale, **couplings)
         cage_dis = DisorderRealization(dis.fields[1:4], dis.seed, dis.generator_id, dis.width)
@@ -247,9 +247,9 @@ class TestMblCage:
     def test_rejects_noncontiguous_cage(self):
         s = scenario(kind="MBL", L=6, site=2)
         with pytest.raises(ValueError):
-            mbl_cage_compare(6, SiteSubset([1, 3, 4]), s)
+            mbl_cage_compare(SiteSubset([1, 3, 4]), s)
 
     def test_rejects_cage_missing_site(self):
         s = scenario(kind="MBL", L=6, site=0)
         with pytest.raises(ValueError):
-            mbl_cage_compare(6, SiteSubset([2, 3, 4]), s)
+            mbl_cage_compare(SiteSubset([2, 3, 4]), s)
