@@ -87,6 +87,8 @@ class ScrambleScenario:
         # Written so that NaN fails them.
         if grid.ndim != 1 or grid.size == 0 or not grid[0] >= 0:
             raise ValueError("time grid must be 1-D and start at t >= 0")
+        if not np.all(np.isfinite(grid)):
+            raise ValueError("time grid must be finite")
         if not np.all(np.diff(grid) > 0):
             raise ValueError("time grid must be strictly increasing")
 
@@ -152,8 +154,9 @@ def _flip_pair(bits, site: int) -> tuple[StateVector, StateVector]:
 
 
 def _trajectory(h, pair, time_grid):
-    """Yield the evolved pair (psi1, psi2) at each time, from one propagator."""
-    prop = make_propagator(h)
+    """Yield the evolved pair (psi1, psi2) at each time, from one propagator
+    on the sector of h that the pair reaches."""
+    prop = make_propagator(h, *pair)
     for t in time_grid:
         yield evolve(prop, pair[0], t), evolve(prop, pair[1], t)
 
@@ -277,6 +280,7 @@ def shadow_metric_curve(s: ScrambleScenario, subsystem_sizes=None) -> list[dict]
                     "chi2_exact": max(exact, 0.0),
                 }
             )
+        del set1, set2  # so that the next time point samples without them
     return rows
 
 

@@ -28,12 +28,16 @@ BASIS_X, BASIS_Y, BASIS_Z = 0, 1, 2
 BASIS_CHARS = "XYZ"
 
 # Largest shadow array budget, in bytes. A shadow-curve time point peaks at
-# 11 bytes per snapshot and site while it samples the second state: its int64
-# basis draw and their uint8 copy, next to the first state's uint8 records
-# (tracemalloc: 11.0 at 800,000 TFIM L=6 shots). A batch of B snapshots
+# 8 bytes per snapshot and site while it estimates: both states' uint8 bases
+# and outcomes, and their packed uint8 codes (tracemalloc: 7.6 at 1,600,000
+# TFIM L=6 shots over two time points, 6.3 of it growing with the shots;
+# bases are drawn in int64 chunks of _DRAW_CHUNK). A batch of B snapshots
 # holds one float64 B x B kernel matrix per measured site, and up to five
 # more for the running product and its indices.
 MAX_SHADOW_BYTES = 2 ** 31
+
+# int64 basis draws per chunk of sample_shadow_set (512 KiB).
+_DRAW_CHUNK = 2 ** 16
 
 # Rotation applied before a computational-basis measurement so that the
 # outcome projects onto the chosen Pauli eigenbasis.
@@ -177,14 +181,19 @@ def sample_shadow_set(
     seed: int | None = None,
 ) -> ShadowSet:
     n = state.n_sites
-    bases = rng.integers(0, 3, size=(n_snapshots, n)).astype(np.uint8)
+    # Row chunks of int64 draws fill the uint8 array; the generator's stream
+    # is the same as one (n_snapshots, n) draw.
+    bases = np.empty((n_snapshots, n), dtype=np.uint8)
+    step = max(1, _DRAW_CHUNK // n)
+    for rows in np.split(bases, range(step, n_snapshots, step)):
+        rows[...] = rng.integers(0, 3, size=rows.shape)
     outcomes = _born_outcomes(state, _BASIS_ROTATIONS, bases, rng.random(n_snapshots))
     return ShadowSet(bases, outcomes, n, source_label=source_label, seed=seed)
 
 
 def check_shadow_memory(n_sites: int, n_snapshots: int, mom: MoMConfig, kernel_sites: int) -> None:
     """Refuse a shadow budget whose arrays would exceed MAX_SHADOW_BYTES."""
-    codes = 11 * n_snapshots * n_sites
+    codes = 8 * n_snapshots * n_sites
     kernels = 8 * mom.batch_size ** 2 * (kernel_sites + 5)
     if max(codes, kernels) > MAX_SHADOW_BYTES:
         raise ValueError(

@@ -2,11 +2,20 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from scramblescope.evolve import Propagator, evolve, make_propagator
 from scramblescope.models import build_mbl, build_mfim, build_pxp, build_tfim, draw_disorder
 from scramblescope.qhilbert import StateVector, basis_state
+
+BUILDERS = {
+    "TFIM": build_tfim,
+    "MFIM": build_mfim,
+    "PXP": build_pxp,
+    "MBL": lambda L: build_mbl(L, disorder=draw_disorder(L, seed=42)),
+}
 
 
 def random_state(n_sites, rng):
@@ -23,6 +32,11 @@ class TestMakePropagator:
     def test_rejects_nonorthonormal(self):
         with pytest.raises(ValueError):
             Propagator(np.zeros(2), np.ones((2, 2)), 2)
+
+    @pytest.mark.parametrize("sector", [[1, 1], [0, 4], [-1, 0], []])
+    def test_rejects_bad_sector(self, sector):
+        with pytest.raises(ValueError):
+            Propagator(np.zeros(len(sector)), np.eye(len(sector)), 4, sector)
 
 
 class TestEvolve:
@@ -73,3 +87,58 @@ class TestEvolve:
         p = make_propagator(build_tfim(2))
         with pytest.raises(ValueError):
             evolve(p, basis_state(3, [0, 0, 0]), 1.0)
+
+
+def neel_pair(L, site):
+    bits = [i % 2 for i in range(L)]
+    flipped = list(bits)
+    flipped[site] ^= 1
+    return basis_state(L, bits), basis_state(L, flipped)
+
+
+class TestSector:
+    @pytest.mark.parametrize(
+        "kind, site, sizes",
+        # PXP: the 144 blockade-respecting states of 10 open sites (a Fibonacci
+        # number); MBL: the S^z sectors of the Neel state and of its flip.
+        [("PXP", 4, (144, 144, 144)), ("MBL", 5, (252, 210, 462))],
+    )
+    def test_neel_pair_sectors_at_ten_sites(self, kind, site, sizes):
+        h = BUILDERS[kind](10)
+        pair = neel_pair(10, site)
+        got = tuple(make_propagator(h, *states).sector.size for states in (pair[:1], pair[1:], pair))
+        assert got == sizes
+
+    def test_without_states_covers_the_whole_space(self):
+        assert np.array_equal(make_propagator(build_tfim(3)).sector, np.arange(8))
+
+    def test_evolve_refuses_state_outside_sector(self):
+        h = BUILDERS["MBL"](4)
+        p = make_propagator(h, basis_state(4, [0, 1, 0, 1]))
+        # half its weight in the S^z sector of 0101, half in another
+        amps = basis_state(4, [0, 1, 1, 0]).amplitudes + basis_state(4, [0, 0, 0, 1]).amplitudes
+        outside = StateVector(4, amps / np.sqrt(2))
+        with pytest.raises(ValueError, match="outside"):
+            evolve(p, outside, 1.0)
+        evolve(make_propagator(h), outside, 1.0)
+
+    def test_rejects_state_of_other_dim(self):
+        with pytest.raises(ValueError):
+            make_propagator(build_tfim(3), basis_state(2, [0, 0]))
+
+
+@given(st.sampled_from(sorted(BUILDERS)), st.integers(3, 6), st.data())
+@settings(max_examples=60, deadline=None)
+def test_sector_is_closed_and_matches_full_space(kind, L, data):
+    h = BUILDERS[kind](L)
+    index = st.integers(0, 2**L - 1)
+    pair = [StateVector(L, np.eye(2**L)[data.draw(index)]) for _ in range(2)]
+    p = make_propagator(h, *pair)
+    rest = np.setdiff1d(np.arange(2**L), p.sector)
+    assert not np.any(h.matrix[np.ix_(p.sector, rest)])
+    assert not np.any(h.matrix[np.ix_(rest, p.sector)])
+    full = make_propagator(h)
+    for t in (0.0, 0.9, 17.0):
+        for psi in pair:
+            diff = evolve(p, psi, t).amplitudes - evolve(full, psi, t).amplitudes
+            assert np.max(np.abs(diff)) <= 1e-12

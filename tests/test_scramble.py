@@ -4,7 +4,14 @@ import numpy as np
 import pytest
 
 from scramblescope.evolve import evolve, make_propagator
-from scramblescope.models import DisorderRealization, ModelSpec, build_mbl, draw_disorder
+from scramblescope.infotheory import Ensemble, chi_q, holevo_chi
+from scramblescope.models import (
+    DisorderRealization,
+    ModelSpec,
+    build_hamiltonian,
+    build_mbl,
+    draw_disorder,
+)
 from scramblescope.qhilbert import SiteSubset, basis_state, partial_trace
 from scramblescope.scramble import (
     LN_4_3,
@@ -54,6 +61,12 @@ class TestScenarioValidation:
     def test_rejects_decreasing_grid(self):
         with pytest.raises(ValueError):
             scenario(times=(1.0, 0.5))
+
+    @pytest.mark.parametrize("times", [(0.0, np.inf), (0.0, 1.0, np.inf)])
+    def test_rejects_infinite_grid(self, times):
+        # refused when the scenario is built, before any Hamiltonian is diagonalised
+        with pytest.raises(ValueError, match="finite"):
+            scenario(times=times)
 
     def test_echo_is_json_ready(self):
         import json
@@ -237,7 +250,7 @@ class TestMblCage:
         h_cage = build_mbl(3, disorder=cage_dis, **couplings)
         full_pair = prepare_ensemble(s)
         cage_pair = (basis_state(3, [1, 0, 1]), basis_state(3, [1, 1, 1]))
-        p_full, p_cage = make_propagator(h_full), make_propagator(h_cage)
+        p_full, p_cage = make_propagator(h_full, *full_pair), make_propagator(h_cage, *cage_pair)
         for r, t in zip(rows, s.time_grid):
             full = [partial_trace(evolve(p_full, psi, t), SiteSubset([1, 2])) for psi in full_pair]
             iso = [partial_trace(evolve(p_cage, psi, t), SiteSubset([0, 1])) for psi in cage_pair]
@@ -253,3 +266,22 @@ class TestMblCage:
         s = scenario(kind="MBL", L=6, site=0)
         with pytest.raises(ValueError):
             mbl_cage_compare(SiteSubset([2, 3, 4]), s)
+
+
+class TestSectorRoute:
+    @pytest.mark.parametrize("kind", ["PXP", "MBL"])
+    def test_metrics_match_full_space_route(self, kind):
+        s = scenario(kind=kind, L=10, size=2, subset_policy="all_subsets")
+        h, pair = build_hamiltonian(s.model), prepare_ensemble(s)
+        sector, full = make_propagator(h, *pair), make_propagator(h)
+        assert sector.sector.size < h.dim
+
+        def metrics(p, t, subset):
+            rho1, rho2 = (partial_trace(evolve(p, psi, t), subset) for psi in pair)
+            ens = Ensemble([(0.5, rho1), (0.5, rho2)])
+            return np.array([exact_chi2_pair(rho1, rho2), holevo_chi(ens), chi_q(ens)])
+
+        for t in np.linspace(0.0, 30.0, 7):
+            for subset in qualifying_subsets(s):
+                diff = metrics(sector, t, subset) - metrics(full, t, subset)
+                assert np.max(np.abs(diff)) <= 1e-12

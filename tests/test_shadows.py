@@ -184,6 +184,19 @@ class TestSequentialSampler:
         chunked = sample_shadow_set(psi, 50, np.random.default_rng(4))
         assert np.array_equal(whole.outcomes, chunked.outcomes)
 
+    @pytest.mark.parametrize("n, m", [(1, 9), (3, 10), (5, 23), (6, 1)])
+    def test_basis_chunks_keep_the_stream(self, monkeypatch, n, m):
+        # rows of 7 // n snapshots per draw: several chunks, the last one short
+        monkeypatch.setattr("scramblescope.shadows._DRAW_CHUNK", 7)
+        for seed in range(50):
+            psi = random_state(n, np.random.default_rng(seed))
+            got = sample_shadow_set(psi, m, np.random.default_rng(seed))
+            draws = np.random.default_rng(seed)
+            bases, uniforms = draws.integers(0, 3, size=(m, n)), draws.random(m)
+            assert got.bases.dtype == np.uint8 and np.array_equal(got.bases, bases)
+            for row, u in enumerate(uniforms):
+                assert list(got.outcomes[row]) == reference_outcome(psi, bases[row], u)
+
     # The ends of [0, 1): 0 itself and the largest double below 1.
     @pytest.mark.parametrize("u", [0.0, 1.0 - 2.0**-53])
     def test_never_picks_a_zero_weight_half(self, u):
