@@ -120,7 +120,7 @@ class RunConfig:
             raise UsageError(f"unknown model {self.model!r}")
         if self.length is not None and self.subsystem_size > self.length:
             raise UsageError("subsystem_size exceeds chain length")
-        for key in ("batches", "trials", "n_spectra", "n_triples"):
+        for key in ("steps", "batches", "trials", "n_spectra", "n_triples"):
             if getattr(self, key) < 1:
                 raise UsageError(f"{key} must be at least 1")
         if self.n_haar < HAAR_MIN_SAMPLES:
@@ -254,14 +254,15 @@ def _write_manifest(out_dir: Path, cfg: RunConfig, extra: dict, outputs) -> None
 
 def _cmd_grid(cfg: RunConfig):
     kind = _MODEL_KINDS[cfg.model.lower()]
-    result = exact_metric_grid(_scenario(cfg, kind, cfg.metrics))
+    scenario = _scenario(cfg, kind, cfg.metrics)
+    result = exact_metric_grid(scenario)
     rows = [
         {"metric": metric, "t": float(t), "x": int(x), "value": float(result.values[mi, ti, ci])}
         for mi, metric in enumerate(result.metrics)
         for ti, t in enumerate(result.time_grid)
         for ci, x in enumerate(result.sites)
     ]
-    return {"grid": (("metric", "t", "x", "value"), rows)}, {"scenario": result.metadata}
+    return {"grid": (("metric", "t", "x", "value"), rows)}, {"scenario": scenario.scenario_echo()}
 
 
 def _cmd_shadow_curve(cfg: RunConfig):
@@ -435,6 +436,9 @@ def main(argv=None) -> int:
         return 2
     except (ValueError, RuntimeError, OSError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:  # numpy raises a private subclass; name the public one
+        print(f"error: MemoryError: {exc}", file=sys.stderr)
         return 1
 
 

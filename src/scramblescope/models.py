@@ -56,16 +56,6 @@ class DisorderRealization:
             }
         )
 
-    @classmethod
-    def from_json(cls, text: str) -> "DisorderRealization":
-        d = json.loads(text)
-        return cls(
-            fields=np.asarray(d["fields"], dtype=float),
-            seed=int(d["seed"]),
-            generator_id=str(d["generator_id"]),
-            width=float(d["W"]),
-        )
-
 
 def draw_disorder(
     L: int,

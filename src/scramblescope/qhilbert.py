@@ -120,13 +120,11 @@ class DensityOperator:
 
     dim: int
     matrix: np.ndarray
-    site_labels: tuple = ()
     spectrum: Spectrum = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         m = _as_complex_array(self.matrix)
         object.__setattr__(self, "matrix", m)
-        object.__setattr__(self, "site_labels", tuple(self.site_labels))
         if m.shape != (self.dim, self.dim):
             raise ValueError(f"matrix shape {m.shape} does not match dim {self.dim}")
         if not np.max(np.abs(m - m.conj().T)) <= HERM_ATOL:
@@ -229,7 +227,7 @@ def partial_trace(state: StateVector, keep: SiteSubset) -> DensityOperator:
     mat = tensor.transpose(kept + traced).reshape(2 ** len(kept), -1)
     rho = mat @ mat.conj().T
     rho = 0.5 * (rho + rho.conj().T)
-    return DensityOperator(2 ** len(kept), rho, tuple(kept))
+    return DensityOperator(2 ** len(kept), rho)
 
 
 def purity(rho: DensityOperator) -> float:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -35,6 +35,9 @@ from .shadows import MoMConfig, check_shadow_memory, chi2_estimate_many, sample_
 METRIC_NAMES = ("chi2", "holevo", "chi_q")
 POLICIES = ("windows_containing_x", "all_subsets")
 LN_4_3 = math.log(4.0 / 3.0)
+# Most subsets the all_subsets policy enumerates. shadow-curve enumerates them
+# before the 13-site dense limit refuses, so the cap is reachable from 17 sites.
+SUBSET_CAP = 20000
 
 
 def default_time_grid(t_max: float = 30.0, n_points: int = 301) -> np.ndarray:
@@ -63,7 +66,6 @@ class ScrambleScenario:
     shots: int | None = None
     master_seed: int = 0
     n_batches: int = 10
-    subset_cap: int = 20000
 
     def __post_init__(self):
         object.__setattr__(self, "metrics", tuple(self.metrics))
@@ -117,13 +119,12 @@ class ScrambleScenario:
 
 @dataclass(frozen=True)
 class GridResult:
-    """Metric values on the (metric, time, site) grid plus provenance."""
+    """Metric values on the (metric, time, site) grid."""
 
     values: np.ndarray
     metrics: tuple
     time_grid: np.ndarray
     sites: tuple
-    metadata: dict = field(default_factory=dict)
 
 
 def _initial_bits(kind: str, n_sites: int) -> list[int]:
@@ -168,11 +169,8 @@ def qualifying_subsets(s: ScrambleScenario) -> list[SiteSubset]:
         subsets = [SiteSubset(range(x0, x0 + k)) for x0 in range(L - k + 1)]
     else:
         count = math.comb(L, k)
-        if count > s.subset_cap:
-            raise RuntimeError(
-                f"{count} subsets of size {k} exceed the configured cap "
-                f"{s.subset_cap}"
-            )
+        if count > SUBSET_CAP:
+            raise RuntimeError(f"{count} subsets of size {k} exceed the cap {SUBSET_CAP}")
         subsets = [SiteSubset(c) for c in itertools.combinations(range(L), k)]
     return subsets
 
@@ -231,7 +229,6 @@ def exact_metric_grid(s: ScrambleScenario) -> GridResult:
         metrics=s.metrics,
         time_grid=s.time_grid,
         sites=sites,
-        metadata=s.scenario_echo(),
     )
 
 
@@ -263,10 +260,7 @@ def shadow_metric_curve(s: ScrambleScenario, subsystem_sizes=None) -> list[dict]
     rows = []
     for ti, (t, pair) in enumerate(zip(s.time_grid, states)):
         set1, set2 = (
-            sample_shadow_set(
-                psi, s.shots, substream_rng(s.master_seed, f"shadow:{label}", ti),
-                source_label=label, seed=s.master_seed,
-            )
+            sample_shadow_set(psi, s.shots, substream_rng(s.master_seed, f"shadow:{label}", ti))
             for psi, label in zip(pair, ("state1", "state2"))
         )
         for k, subsets in subsets_by_size:

@@ -8,7 +8,6 @@ aggregated by median-of-means.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -25,7 +24,6 @@ from .qhilbert import (
 )
 
 BASIS_X, BASIS_Y, BASIS_Z = 0, 1, 2
-BASIS_CHARS = "XYZ"
 
 # Largest shadow array budget, in bytes. A shadow-curve time point peaks at
 # 8 bytes per snapshot and site while it estimates: both states' uint8 bases
@@ -120,8 +118,6 @@ class ShadowSet:
     bases: np.ndarray
     outcomes: np.ndarray
     n_sites: int
-    source_label: str = ""
-    seed: int | None = None
 
     def __post_init__(self):
         b, o = _store_codes(self)
@@ -173,13 +169,7 @@ def sample_snapshot(
     return Snapshot(bases, outcomes[0])
 
 
-def sample_shadow_set(
-    state: StateVector,
-    n_snapshots: int,
-    rng: np.random.Generator,
-    source_label: str = "",
-    seed: int | None = None,
-) -> ShadowSet:
+def sample_shadow_set(state: StateVector, n_snapshots: int, rng: np.random.Generator) -> ShadowSet:
     n = state.n_sites
     # Row chunks of int64 draws fill the uint8 array; the generator's stream
     # is the same as one (n_snapshots, n) draw.
@@ -188,7 +178,7 @@ def sample_shadow_set(
     for rows in np.split(bases, range(step, n_snapshots, step)):
         rows[...] = rng.integers(0, 3, size=rows.shape)
     outcomes = _born_outcomes(state, _BASIS_ROTATIONS, bases, rng.random(n_snapshots))
-    return ShadowSet(bases, outcomes, n, source_label=source_label, seed=seed)
+    return ShadowSet(bases, outcomes, n)
 
 
 def check_shadow_memory(n_sites: int, n_snapshots: int, mom: MoMConfig, kernel_sites: int) -> None:
@@ -330,43 +320,3 @@ def chi2_estimate_many(
         )
         for subset, a, b, o in zip(subsets, p1, p2, ov)
     ]
-
-
-# ---------------------------------------------------------------------------
-# JSONL exchange format: one header line, then one line per snapshot.
-
-
-def write_jsonl(shadows: ShadowSet, path) -> None:
-    with open(path, "w") as fh:
-        header = {
-            "n_sites": shadows.n_sites,
-            "seed": shadows.seed,
-            "source_label": shadows.source_label,
-        }
-        fh.write(json.dumps(header) + "\n")
-        for i in range(len(shadows)):
-            rec = {
-                "b": "".join(BASIS_CHARS[c] for c in shadows.bases[i]),
-                "o": "".join(str(int(c)) for c in shadows.outcomes[i]),
-            }
-            fh.write(json.dumps(rec) + "\n")
-
-
-def read_jsonl(path) -> ShadowSet:
-    with open(path) as fh:
-        header = json.loads(fh.readline())
-        n = int(header["n_sites"])
-        bases, outcomes = [], []
-        for line in fh:
-            rec = json.loads(line)
-            if len(rec["b"]) != n or len(rec["o"]) != n:
-                raise ValueError("snapshot line length does not match header")
-            bases.append([BASIS_CHARS.index(ch) for ch in rec["b"]])
-            outcomes.append([int(ch) for ch in rec["o"]])
-    return ShadowSet(
-        bases=np.asarray(bases, dtype=np.uint8),
-        outcomes=np.asarray(outcomes, dtype=np.uint8),
-        n_sites=n,
-        source_label=header.get("source_label", ""),
-        seed=header.get("seed"),
-    )

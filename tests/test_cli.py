@@ -92,6 +92,8 @@ class TestConfigTypes:
             ("identity-suite", {"n_spectra": 0}),
             ("identity-suite", {"n_triples": 0}),
             ("identity-suite", {"n_haar": 10}),
+            ("grid", {"steps": 0}),
+            ("grid", {"steps": -3}),
         ],
     )
     def test_bad_count_is_usage_error(self, tmp_path, capsys, command, bad):
@@ -296,4 +298,15 @@ class TestMainErrors:
         out = tmp_path / "o"
         assert main(["grid", "--model", "tfim", "--length", "22", "--out", str(out)]) == 1
         assert capsys.readouterr().err.startswith("error: ValueError:")
+        assert not out.exists()
+
+    def test_memory_error_is_reported_without_traceback(self, tmp_path, capsys, monkeypatch):
+        def out_of_memory(*a, **k):
+            raise MemoryError("Unable to allocate 7.45 GiB")
+
+        monkeypatch.setattr(cli, "exact_metric_grid", out_of_memory)
+        out = tmp_path / "o"
+        assert main(["grid", "--model", "tfim", "--length", "4", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: MemoryError:") and "Traceback" not in err
         assert not out.exists()

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from scramblescope import scramble
 from scramblescope.evolve import evolve, make_propagator
 from scramblescope.infotheory import Ensemble, chi_q, holevo_chi
 from scramblescope.models import (
@@ -111,8 +112,9 @@ class TestQualifyingSubsets:
         subs = qualifying_subsets(scenario(L=5, size=2, subset_policy="all_subsets"))
         assert len(subs) == 10
 
-    def test_cap_enforced(self):
-        s = scenario(L=8, size=4, subset_policy="all_subsets", subset_cap=10)
+    def test_cap_enforced(self, monkeypatch):
+        monkeypatch.setattr(scramble, "SUBSET_CAP", 10)
+        s = scenario(L=8, size=4, subset_policy="all_subsets")
         with pytest.raises(RuntimeError):
             qualifying_subsets(s)
 

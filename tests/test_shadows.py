@@ -1,4 +1,4 @@
-"""Shadow pipeline: kernel oracle, estimator statistics, robustness, IO."""
+"""Shadow pipeline: kernel oracle, estimator statistics, robustness."""
 
 import itertools
 
@@ -33,10 +33,8 @@ from scramblescope.shadows import (
     overlap_estimate,
     pair_kernel,
     purity_estimate,
-    read_jsonl,
     sample_shadow_set,
     sample_snapshot,
-    write_jsonl,
 )
 
 
@@ -72,6 +70,9 @@ class TestKernel:
             ShadowSet(np.array([[258]]), np.array([[0]]), 1)
         with pytest.raises(ValueError):
             Snapshot([-1], [0])
+        for bit in (2, 7):
+            with pytest.raises(ValueError):
+                ShadowSet(np.array([[0, 2]]), np.array([[0, bit]]), 2)
 
     def test_pair_kernel_is_sitewise_product(self):
         s1 = Snapshot([BASIS_X, BASIS_Z, BASIS_Y], [0, 1, 0])
@@ -112,9 +113,8 @@ class TestSnapshotSampling:
 
     def test_shadow_set_shapes(self):
         psi = basis_state(4, [0, 1, 0, 1])
-        s = sample_shadow_set(psi, 17, np.random.default_rng(1), "lbl", 7)
+        s = sample_shadow_set(psi, 17, np.random.default_rng(1))
         assert len(s) == 17 and s.bases.shape == (17, 4)
-        assert s.source_label == "lbl" and s.seed == 7
 
 
 # Reference rotations into the X, Y and Z eigenbases.
@@ -311,31 +311,36 @@ class TestChi2Estimate:
             assert abs(est.purity1 - single.purity1) < 1e-12
             assert abs(est.overlap - single.overlap) < 1e-12
 
+    def test_many_matches_pair_kernel_oracle(self):
+        # Brute force: the mean of pair_kernel over each batch's snapshot
+        # pairs (i != j within one set, all pairs across sets), then the
+        # median over batches. The two snapshots past the batches are unused.
+        rng = np.random.default_rng(21)
+        psi1, psi2 = random_state(4, rng), random_state(4, rng)
+        a = sample_shadow_set(psi1, 23, np.random.default_rng(22))
+        b = sample_shadow_set(psi2, 23, np.random.default_rng(23))
+        mom = MoMConfig(3, 7)
+        subsets = [
+            SiteSubset(c) for k in (1, 2, 3) for c in itertools.combinations(range(4), k)
+        ]
+
+        def oracle(x, y, sub, same_set):
+            means = []
+            for k in range(mom.n_batches):
+                batch = range(k * mom.batch_size, (k + 1) * mom.batch_size)
+                means.append(np.mean([
+                    pair_kernel(x[i], y[j], sub)
+                    for i in batch for j in batch if not (same_set and i == j)
+                ]))
+            return np.median(means)
+
+        ests = chi2_estimate_many(a, b, subsets, mom)
+        assert len(ests) == len(subsets) == 14
+        for sub, est in zip(subsets, ests):
+            assert abs(est.purity1 - oracle(a, a, sub, True)) <= 1e-12
+            assert abs(est.purity2 - oracle(b, b, sub, True)) <= 1e-12
+            assert abs(est.overlap - oracle(a, b, sub, False)) <= 1e-12
+
     def test_components_reported(self):
         est = Chi2Estimate(0.1, 0.9, 0.8, 0.5)
         assert est.purity1 == 0.9 and est.overlap == 0.5
-
-
-class TestJsonl:
-    def test_roundtrip(self, tmp_path):
-        psi = random_state(3, np.random.default_rng(11))
-        s = sample_shadow_set(psi, 25, np.random.default_rng(12), "src", 99)
-        path = tmp_path / "shadows.jsonl"
-        write_jsonl(s, path)
-        back = read_jsonl(path)
-        assert np.array_equal(back.bases, s.bases)
-        assert np.array_equal(back.outcomes, s.outcomes)
-        assert back.source_label == "src" and back.seed == 99
-
-    def test_rejects_mismatched_line(self, tmp_path):
-        path = tmp_path / "bad.jsonl"
-        path.write_text('{"n_sites": 3, "seed": 0, "source_label": ""}\n{"b": "XZ", "o": "01"}\n')
-        with pytest.raises(ValueError):
-            read_jsonl(path)
-
-    @pytest.mark.parametrize("bits", ["02", "07"])
-    def test_rejects_outcome_out_of_range(self, tmp_path, bits):
-        path = tmp_path / "bad.jsonl"
-        path.write_text('{"n_sites": 2, "seed": 0, "source_label": ""}\n{"b": "XZ", "o": "%s"}\n' % bits)
-        with pytest.raises(ValueError):
-            read_jsonl(path)
