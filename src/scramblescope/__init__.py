@@ -44,12 +44,10 @@ from .shadows import (  # noqa: F401
     MoMConfig,
     ShadowSet,
     Snapshot,
-    chi2_estimate,
+    chi2_estimate_many,
     kernel_value,
     median_of_means,
-    overlap_estimate,
     pair_kernel,
-    purity_estimate,
     sample_shadow_set,
     sample_snapshot,
 )

@@ -46,6 +46,7 @@ from .scramble import (
     shadow_metric_curve,
 )
 from .seeding import substream_rng
+from .shadows import MoMConfig
 
 COMMANDS = ("grid", "shadow-curve", "clifford-verify", "mbl-cage", "identity-suite")
 
@@ -123,6 +124,11 @@ class RunConfig:
         for key in ("steps", "batches", "trials", "n_spectra", "n_triples"):
             if getattr(self, key) < 1:
                 raise UsageError(f"{key} must be at least 1")
+        if self.command == "shadow-curve":
+            try:
+                MoMConfig(self.batches, self.shots // self.batches)
+            except ValueError as err:
+                raise UsageError(f"shots={self.shots}, batches={self.batches}: {err}") from None
         if self.n_haar < HAAR_MIN_SAMPLES:
             raise UsageError(f"n_haar must be at least {HAAR_MIN_SAMPLES}")
         if not self.sample_counts or min(self.sample_counts) < 1:

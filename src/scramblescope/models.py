@@ -31,11 +31,10 @@ MAX_DENSE_SITES = 13
 
 @dataclass(frozen=True)
 class DisorderRealization:
-    """One draw of on-site disorder fields, pinned to a named generator."""
+    """One draw of on-site disorder fields, from numpy's PCG64 generator."""
 
     fields: np.ndarray
     seed: int
-    generator_id: str
     width: float
 
     def __post_init__(self):
@@ -51,7 +50,7 @@ class DisorderRealization:
             {
                 "fields": [float(x) for x in self.fields],
                 "seed": int(self.seed),
-                "generator_id": self.generator_id,
+                "generator_id": "pcg64",
                 "W": float(self.width),
             }
         )
@@ -67,7 +66,7 @@ def draw_disorder(
         raise ValueError(f"disorder width W must be positive and finite, got {W}")
     rng = np.random.default_rng(seed)
     fields = rng.uniform(-W, W, size=L)
-    return DisorderRealization(fields=fields, seed=seed, generator_id="pcg64", width=W)
+    return DisorderRealization(fields=fields, seed=seed, width=W)
 
 
 @dataclass(frozen=True)

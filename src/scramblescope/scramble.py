@@ -243,10 +243,6 @@ def shadow_metric_curve(s: ScrambleScenario, subsystem_sizes=None) -> list[dict]
         raise ValueError("scenario has no shot budget")
     if set(s.metrics) != {"chi2"}:
         raise ValueError("shadow curves support the chi2 metric only")
-    if s.shots < 2 * s.n_batches:
-        raise ValueError(
-            f"{s.shots} shots cannot fill {s.n_batches} batches of >= 2 snapshots"
-        )
     if subsystem_sizes is None:
         subsystem_sizes = (s.subsystem_size,)
     mom = MoMConfig(n_batches=s.n_batches, batch_size=s.shots // s.n_batches)

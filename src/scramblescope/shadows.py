@@ -143,17 +143,12 @@ class MoMConfig:
     batch_size: int
 
     def __post_init__(self):
-        if self.n_batches < 1 or self.batch_size < 1:
-            raise ValueError("batch count and size must be positive")
-
-    def validate_available(self, n_available: int, min_batch: int = 1) -> None:
-        if self.n_batches * self.batch_size > n_available:
+        # The same-set U-statistic pairs distinct snapshots of one batch.
+        if self.n_batches < 1 or self.batch_size < 2:
             raise ValueError(
-                f"{self.n_batches} batches of {self.batch_size} exceed "
-                f"{n_available} available snapshots"
+                "need at least 1 batch of at least 2 snapshots, got "
+                f"{self.n_batches} batches of {self.batch_size}"
             )
-        if self.batch_size < min_batch:
-            raise ValueError(f"batches of {self.batch_size} are too small")
 
 
 def sample_snapshot(
@@ -219,16 +214,6 @@ def median_of_means(samples, K: int) -> float:
     return float(np.median(means))
 
 
-def _checked_codes(sets, subsets, mom: MoMConfig, min_batch: int) -> list[np.ndarray]:
-    """Validate shadow sets, subsets and batching together; return packed codes."""
-    if len({s.n_sites for s in sets}) != 1:
-        raise ValueError("shadow sets come from different chain lengths")
-    for subset in subsets:
-        subset.validate_for(sets[0].n_sites)
-    mom.validate_available(min(len(s) for s in sets), min_batch=min_batch)
-    return [s.codes() for s in sets]
-
-
 def _kernel_medians(
     codes_a: np.ndarray,
     codes_b: np.ndarray,
@@ -262,20 +247,6 @@ def _kernel_medians(
     return np.median(means, axis=1)
 
 
-def purity_estimate(shadows: ShadowSet, subset: SiteSubset, mom: MoMConfig) -> float:
-    """Median-of-means U-statistic estimate of Tr(rho_A^2)."""
-    (codes,) = _checked_codes([shadows], [subset], mom, min_batch=2)
-    return float(_kernel_medians(codes, codes, [subset], mom, same_set=True)[0])
-
-
-def overlap_estimate(
-    shadows1: ShadowSet, shadows2: ShadowSet, subset: SiteSubset, mom: MoMConfig
-) -> float:
-    """Median-of-means estimate of the cross overlap Tr(rho1_A rho2_A)."""
-    c1, c2 = _checked_codes([shadows1, shadows2], [subset], mom, min_batch=1)
-    return float(_kernel_medians(c1, c2, [subset], mom, same_set=False)[0])
-
-
 @dataclass(frozen=True)
 class Chi2Estimate:
     """Plug-in chi2 estimate plus its three raw (unclamped) purity components."""
@@ -286,28 +257,29 @@ class Chi2Estimate:
     overlap: float
 
 
-def chi2_estimate(
-    shadows1: ShadowSet,
-    shadows2: ShadowSet,
-    subset: SiteSubset,
-    mom: MoMConfig,
-) -> Chi2Estimate:
-    """Estimate chi2 on a subset from the two purities and the cross overlap.
-
-    Purities are clamped to [2^-|A|, 1] before the logarithm, so the plug-in
-    value can carry a small bias; the raw components are reported alongside.
-    """
-    return chi2_estimate_many(shadows1, shadows2, [subset], mom)[0]
-
-
 def chi2_estimate_many(
     shadows1: ShadowSet,
     shadows2: ShadowSet,
     subsets: Sequence[SiteSubset],
     mom: MoMConfig,
 ) -> list[Chi2Estimate]:
-    """chi2_estimate for many subsets, sharing per-site kernel matrices."""
-    c1, c2 = _checked_codes([shadows1, shadows2], subsets, mom, min_batch=2)
+    """Estimate chi2 on each subset from the two purities and the cross overlap.
+
+    Per-site kernel matrices are formed once per batch and shared by every
+    subset. Purities are clamped to [2^-|A|, 1] before the logarithm, so the
+    plug-in value can carry a small bias; the raw components are reported
+    alongside.
+    """
+    if shadows1.n_sites != shadows2.n_sites:
+        raise ValueError("shadow sets come from different chain lengths")
+    for subset in subsets:
+        subset.validate_for(shadows1.n_sites)
+    if mom.n_batches * mom.batch_size > min(len(shadows1), len(shadows2)):
+        raise ValueError(
+            f"{mom.n_batches} batches of {mom.batch_size} exceed the "
+            f"{len(shadows1)} and {len(shadows2)} available snapshots"
+        )
+    c1, c2 = shadows1.codes(), shadows2.codes()
     p1 = _kernel_medians(c1, c1, subsets, mom, same_set=True).tolist()
     p2 = _kernel_medians(c2, c2, subsets, mom, same_set=True).tolist()
     ov = _kernel_medians(c1, c2, subsets, mom, same_set=False).tolist()

@@ -46,9 +46,9 @@ from scramblescope.seeding import substream_rng
 from scramblescope.shadows import (
     MoMConfig,
     Snapshot,
+    chi2_estimate_many,
     kernel_value,
     median_of_means,
-    purity_estimate,
     sample_shadow_set,
 )
 
@@ -152,7 +152,8 @@ def test_criterion_5_shadow_purity_unbiasedness():
         for i in range(50):
             shadows = sample_shadow_set(psi, 1000, substream_rng(5, "acceptance:run", i))
             # a single batch keeps the U-statistic estimator exactly unbiased
-            ests.append(purity_estimate(shadows, subset, MoMConfig(1, 1000)))
+            (est,) = chi2_estimate_many(shadows, shadows, [subset], MoMConfig(1, 1000))
+            ests.append(est.purity1)
         se = float(np.std(ests, ddof=1) / np.sqrt(len(ests)))
         dev = abs(float(np.mean(ests)) - true_p) / se
         ok = ok and dev < 3

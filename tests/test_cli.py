@@ -94,6 +94,9 @@ class TestConfigTypes:
             ("identity-suite", {"n_haar": 10}),
             ("grid", {"steps": 0}),
             ("grid", {"steps": -3}),
+            ("shadow-curve", {"shots": 3, "batches": 2}),
+            ("shadow-curve", {"shots": 0}),
+            ("shadow-curve", {"shots": -5}),
         ],
     )
     def test_bad_count_is_usage_error(self, tmp_path, capsys, command, bad):

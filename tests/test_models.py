@@ -132,11 +132,11 @@ class TestMBL:
         h = build_mbl(L, disorder=dis, bond_scale=scale).matrix
         left = build_mbl(
             2,
-            disorder=DisorderRealization(dis.fields[:2], 2, "pcg64", 8.0),
+            disorder=DisorderRealization(dis.fields[:2], 2, 8.0),
         ).matrix
         right = build_mbl(
             2,
-            disorder=DisorderRealization(dis.fields[2:], 2, "pcg64", 8.0),
+            disorder=DisorderRealization(dis.fields[2:], 2, 8.0),
         ).matrix
         want = np.kron(left, np.eye(4)) + np.kron(np.eye(4), right)
         assert np.max(np.abs(h - want)) < 1e-12

@@ -26,7 +26,7 @@ CASES = {
     "propagator": lambda: Propagator(np.zeros(2), [[NAN, 0.0], [0.0, 1.0]], 2),
     "make_propagator": lambda: make_propagator(HermitianOperator(2, np.diag([NAN, 1.0]))),
     "ensemble_weight": lambda: Ensemble([(NAN, RHO), (0.5, RHO)]),
-    "disorder_fields": lambda: DisorderRealization(np.array([NAN, 0.5]), 0, "pcg64", 8.0),
+    "disorder_fields": lambda: DisorderRealization(np.array([NAN, 0.5]), 0, 8.0),
     "disorder_width": lambda: draw_disorder(4, W=NAN),
     "time_grid": lambda: ScrambleScenario(
         model=ModelSpec(kind="TFIM", n_sites=4),

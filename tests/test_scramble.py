@@ -248,7 +248,7 @@ class TestMblCage:
         rows = mbl_cage_compare(cage, s, boundary_coupling_scale=0.5)
         bond_scale = np.array([0.5, 1.0, 1.0, 0.5, 1.0])
         h_full = build_mbl(L, disorder=dis, bond_scale=bond_scale, **couplings)
-        cage_dis = DisorderRealization(dis.fields[1:4], dis.seed, dis.generator_id, dis.width)
+        cage_dis = DisorderRealization(dis.fields[1:4], dis.seed, dis.width)
         h_cage = build_mbl(3, disorder=cage_dis, **couplings)
         full_pair = prepare_ensemble(s)
         cage_pair = (basis_state(3, [1, 0, 1]), basis_state(3, [1, 1, 1]))

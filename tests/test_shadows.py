@@ -26,13 +26,10 @@ from scramblescope.shadows import (
     MoMConfig,
     ShadowSet,
     Snapshot,
-    chi2_estimate,
     chi2_estimate_many,
     kernel_value,
     median_of_means,
-    overlap_estimate,
     pair_kernel,
-    purity_estimate,
     sample_shadow_set,
     sample_snapshot,
 )
@@ -253,15 +250,9 @@ class TestPurityEstimate:
         ests = []
         for i in range(40):
             s = sample_shadow_set(psi, 500, np.random.default_rng(1000 + i))
-            ests.append(purity_estimate(s, sub, MoMConfig(1, 500)))
+            ests.append(chi2_estimate_many(s, s, [sub], MoMConfig(1, 500))[0].purity1)
         se = np.std(ests, ddof=1) / np.sqrt(len(ests))
         assert abs(np.mean(ests) - true_p) < 4 * se
-
-    def test_validates_budget(self):
-        psi = basis_state(2, [0, 0])
-        s = sample_shadow_set(psi, 10, np.random.default_rng(0))
-        with pytest.raises(ValueError):
-            purity_estimate(s, SiteSubset([0]), MoMConfig(6, 2))
 
 
 class TestOverlapEstimate:
@@ -275,7 +266,7 @@ class TestOverlapEstimate:
         for i in range(40):
             a = sample_shadow_set(psi1, 500, np.random.default_rng(2000 + i))
             b = sample_shadow_set(psi2, 500, np.random.default_rng(3000 + i))
-            ests.append(overlap_estimate(a, b, sub, MoMConfig(1, 500)))
+            ests.append(chi2_estimate_many(a, b, [sub], MoMConfig(1, 500))[0].overlap)
         se = np.std(ests, ddof=1) / np.sqrt(len(ests))
         assert abs(np.mean(ests) - true_ov) < 4 * se
 
@@ -286,7 +277,7 @@ class TestChi2Estimate:
         psi = random_state(4, rng)
         a = sample_shadow_set(psi, 2000, np.random.default_rng(1))
         b = sample_shadow_set(psi, 2000, np.random.default_rng(2))
-        est = chi2_estimate(a, b, SiteSubset([1]), MoMConfig(10, 200))
+        (est,) = chi2_estimate_many(a, b, [SiteSubset([1])], MoMConfig(10, 200))
         assert abs(est.value) < 0.05
 
     def test_orthogonal_product_states_anchor(self):
@@ -294,22 +285,8 @@ class TestChi2Estimate:
         psi2 = basis_state(2, [1, 0])
         a = sample_shadow_set(psi1, 4000, np.random.default_rng(3))
         b = sample_shadow_set(psi2, 4000, np.random.default_rng(4))
-        est = chi2_estimate(a, b, SiteSubset([0]), MoMConfig(10, 400))
+        (est,) = chi2_estimate_many(a, b, [SiteSubset([0])], MoMConfig(10, 400))
         assert abs(est.value - np.log(4 / 3)) < 0.05
-
-    def test_many_matches_single(self):
-        rng = np.random.default_rng(10)
-        psi1, psi2 = random_state(4, rng), random_state(4, rng)
-        a = sample_shadow_set(psi1, 600, np.random.default_rng(5))
-        b = sample_shadow_set(psi2, 600, np.random.default_rng(6))
-        mom = MoMConfig(5, 120)
-        subsets = [SiteSubset(c) for c in itertools.combinations(range(4), 2)]
-        many = chi2_estimate_many(a, b, subsets, mom)
-        for sub, est in zip(subsets, many):
-            single = chi2_estimate(a, b, sub, mom)
-            assert abs(est.value - single.value) < 1e-12
-            assert abs(est.purity1 - single.purity1) < 1e-12
-            assert abs(est.overlap - single.overlap) < 1e-12
 
     def test_many_matches_pair_kernel_oracle(self):
         # Brute force: the mean of pair_kernel over each batch's snapshot
@@ -344,3 +321,31 @@ class TestChi2Estimate:
     def test_components_reported(self):
         est = Chi2Estimate(0.1, 0.9, 0.8, 0.5)
         assert est.purity1 == 0.9 and est.overlap == 0.5
+
+
+class TestEstimatorRefusals:
+    def test_refuses_different_chain_lengths(self):
+        a = sample_shadow_set(basis_state(2, [0, 0]), 10, np.random.default_rng(0))
+        b = sample_shadow_set(basis_state(3, [0, 0, 0]), 10, np.random.default_rng(1))
+        with pytest.raises(ValueError, match="chain lengths"):
+            chi2_estimate_many(a, b, [SiteSubset([0])], MoMConfig(2, 5))
+
+    def test_refuses_subset_past_the_chain(self):
+        s = sample_shadow_set(basis_state(2, [0, 0]), 10, np.random.default_rng(0))
+        with pytest.raises(ValueError, match="out of range"):
+            chi2_estimate_many(s, s, [SiteSubset([0]), SiteSubset([1, 2])], MoMConfig(2, 5))
+
+    @pytest.mark.parametrize("sizes", [(10, 12), (12, 10)], ids=["set1-short", "set2-short"])
+    def test_refuses_budget_larger_than_either_set(self, sizes):
+        a, b = (
+            sample_shadow_set(basis_state(2, [0, 0]), m, np.random.default_rng(m))
+            for m in sizes
+        )
+        with pytest.raises(ValueError, match="exceed"):
+            chi2_estimate_many(a, b, [SiteSubset([0])], MoMConfig(6, 2))
+
+    @pytest.mark.parametrize("n_batches, batch_size", [(1, 1), (0, 5)])
+    def test_mom_refuses_bad_batching(self, n_batches, batch_size):
+        # a batch of one snapshot has no distinct pair for the purity
+        with pytest.raises(ValueError, match="at least 2 snapshots"):
+            MoMConfig(n_batches, batch_size)
