@@ -10,7 +10,6 @@ from .qhilbert import (  # noqa: F401
     StateVector,
     apply_local_unitary,
     basis_state,
-    born_sample,
     eigensystem,
     kron_embed,
     partial_trace,
@@ -49,7 +48,6 @@ from .shadows import (  # noqa: F401
     median_of_means,
     pair_kernel,
     sample_shadow_set,
-    sample_snapshot,
 )
 from .scramble import (  # noqa: F401
     GridResult,

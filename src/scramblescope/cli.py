@@ -40,7 +40,6 @@ from .scramble import (
     METRIC_NAMES,
     ScrambleScenario,
     default_perturbation_site,
-    default_time_grid,
     exact_metric_grid,
     mbl_cage_compare,
     shadow_metric_curve,
@@ -84,15 +83,12 @@ class RunConfig:
     steps: int = 301
     out: str = "out"
     format: str = "csv"
-    initial: str | None = None
     policy: str = "windows_containing_x"
     metrics: list[str] = field(default_factory=lambda: list(METRIC_NAMES))
     disorder_seed: int = MBL_SEED_DEFAULT
     disorder_width: float = MBL_W_DEFAULT
-    pxp_boundary: str = "open_projected"
     sample_counts: list[int] = field(default_factory=lambda: [10, 50, 200])
     trials: int = 5
-    cage_start: int | None = None
     cage_length: int = 3
     boundary_scale: float = 1.0
     n_spectra: int = 1000
@@ -100,8 +96,6 @@ class RunConfig:
     n_haar: int = 100000
 
     def __post_init__(self):
-        if self.seed is None:
-            raise UsageError("master seed must be set (no wall-clock seeding)")
         for f in fields(self):
             value, kind = getattr(self, f.name), f.type.removesuffix(" | None")
             if not (value is None and kind != f.type or _type_ok(value, kind)):
@@ -119,8 +113,8 @@ class RunConfig:
             raise UsageError("missing required field: shots")
         if self.model is not None and self.model.lower() not in _MODEL_KINDS:
             raise UsageError(f"unknown model {self.model!r}")
-        if self.length is not None and self.subsystem_size > self.length:
-            raise UsageError("subsystem_size exceeds chain length")
+        if self.length is not None and not 1 <= self.subsystem_size <= self.length:
+            raise UsageError(f"subsystem_size {self.subsystem_size} is not in [1, {self.length}]")
         for key in ("steps", "batches", "trials", "n_spectra", "n_triples"):
             if getattr(self, key) < 1:
                 raise UsageError(f"{key} must be at least 1")
@@ -194,23 +188,19 @@ def _model_spec(cfg: RunConfig, kind: str) -> ModelSpec:
         n_sites=cfg.length,
         couplings={},
         disorder=disorder,
-        pxp_boundary=cfg.pxp_boundary,
     )
 
 
 def _scenario(cfg: RunConfig, kind: str, metrics, policy=None) -> ScrambleScenario:
-    initial = cfg.initial
-    if initial is None:
-        initial = "neel" if kind in ("PXP", "MBL") else "polarized"
     site = cfg.site
     if site is None:
         site = default_perturbation_site(kind, cfg.length)
     return ScrambleScenario(
         model=_model_spec(cfg, kind),
-        initial_kind=initial,
+        initial_kind="neel" if kind in ("PXP", "MBL") else "polarized",
         perturbation_site=site,
         subsystem_size=cfg.subsystem_size,
-        time_grid=default_time_grid(cfg.tmax, cfg.steps),
+        time_grid=np.linspace(0.0, cfg.tmax, cfg.steps),
         subset_policy=policy if policy is not None else cfg.policy,
         metrics=tuple(metrics),
         shots=cfg.shots,
@@ -297,9 +287,9 @@ def _cmd_clifford_verify(cfg: RunConfig):
 
 def _cmd_mbl_cage(cfg: RunConfig):
     scenario = _scenario(cfg, "MBL", ("chi2",))
-    start = cfg.cage_start
-    if start is None:
-        start = scenario.perturbation_site - cfg.cage_length // 2
+    # Around the perturbation site, shifted to fit inside the chain.
+    start = scenario.perturbation_site - cfg.cage_length // 2
+    start = min(max(start, 0), cfg.length - cfg.cage_length)
     cage = SiteSubset(range(start, start + cfg.cage_length))
     rows = mbl_cage_compare(cage, scenario, cfg.boundary_scale)
     extra = {"scenario": scenario.scenario_echo(), "cage_sites": list(cage.indices)}

@@ -161,11 +161,9 @@ def chi2_from_purities(p1: float, p2: float, p_mix: float, d: int) -> float:
     return q2(p_mix) - 0.5 * (q2(p1) + q2(p2))
 
 
-def random_density(d: int, rng: np.random.Generator, rank: int | None = None) -> DensityOperator:
-    """Random mixed state from a normalized Ginibre matrix G G^dag."""
-    if rank is None:
-        rank = d
-    g = rng.normal(size=(d, rank)) + 1j * rng.normal(size=(d, rank))
+def random_density(d: int, rng: np.random.Generator) -> DensityOperator:
+    """Random mixed state from a normalized square Ginibre matrix G G^dag."""
+    g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
     m = g @ g.conj().T
     m /= np.trace(m).real
     m = 0.5 * (m + m.conj().T)

@@ -77,7 +77,6 @@ class ModelSpec:
     n_sites: int
     couplings: dict = field(default_factory=dict)
     disorder: DisorderRealization | None = None
-    pxp_boundary: str = "open_projected"
 
     def __post_init__(self):
         if self.kind not in ("TFIM", "MFIM", "PXP", "MBL"):
@@ -182,20 +181,17 @@ def build_mbl(
     return _chain_sum(L, terms)
 
 
-def build_pxp(L: int, boundary: str = "open_projected") -> HermitianOperator:
+def build_pxp(L: int) -> HermitianOperator:
     """Blockade-constrained flip chain: sum_i P_{i-1} X_i P_{i+1}.
 
-    boundary = "open_projected" adds the one-sided edge terms X_0 P_1 and
-    P_{L-2} X_{L-1}; "bulk_only" keeps interior terms only.
+    The open boundary is projected: the edge terms are X_0 P_1 and
+    P_{L-2} X_{L-1}.
     """
     if L < 3:
         raise ValueError("PXP needs L >= 3")
-    if boundary not in ("open_projected", "bulk_only"):
-        raise ValueError(f"unknown PXP boundary convention {boundary!r}")
     p = PXP_PROJECTOR
     terms = [(1.0, [(i - 1, p), (i, PAULI_X), (i + 1, p)]) for i in range(1, L - 1)]
-    if boundary == "open_projected":
-        terms += [(1.0, [(0, PAULI_X), (1, p)]), (1.0, [(L - 2, p), (L - 1, PAULI_X)])]
+    terms += [(1.0, [(0, PAULI_X), (1, p)]), (1.0, [(L - 2, p), (L - 1, PAULI_X)])]
     return _chain_sum(L, terms)
 
 
@@ -208,4 +204,4 @@ def build_hamiltonian(spec: ModelSpec) -> HermitianOperator:
         return build_mfim(spec.n_sites, **c)
     if spec.kind == "MBL":
         return build_mbl(spec.n_sites, disorder=spec.disorder, **c)
-    return build_pxp(spec.n_sites, boundary=spec.pxp_boundary, **c)
+    return build_pxp(spec.n_sites, **c)

@@ -241,12 +241,6 @@ def eigensystem(h: HermitianOperator):
     return w[::-1].copy(), v[:, ::-1].copy()
 
 
-def born_sample(state: StateVector, rng: np.random.Generator) -> np.ndarray:
-    """Draw one computational-basis outcome with Born-rule probabilities."""
-    bases = np.zeros((1, state.n_sites), dtype=np.uint8)
-    return _born_outcomes(state, PAULI_I[None], bases, rng.random(1))[0]
-
-
 # Amplitudes one sampling chunk holds (4 MiB): 2**18 // 2**n snapshots of n sites.
 _SAMPLE_AMPLITUDES = 2 ** 18
 

@@ -151,19 +151,6 @@ class MoMConfig:
             )
 
 
-def sample_snapshot(
-    state: StateVector,
-    rng: np.random.Generator,
-    bases: np.ndarray | None = None,
-) -> Snapshot:
-    """Measure every site in a random (or forced, for tests) Pauli basis."""
-    if bases is None:
-        bases = rng.integers(0, 3, size=state.n_sites)
-    bases = np.asarray(bases, dtype=np.uint8)
-    outcomes = _born_outcomes(state, _BASIS_ROTATIONS, bases[None], rng.random(1))
-    return Snapshot(bases, outcomes[0])
-
-
 def sample_shadow_set(state: StateVector, n_snapshots: int, rng: np.random.Generator) -> ShadowSet:
     n = state.n_sites
     # Row chunks of int64 draws fill the uint8 array; the generator's stream

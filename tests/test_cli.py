@@ -32,9 +32,15 @@ class TestParseConfig:
         cfg = parse_config(["grid", "--config", str(p), "--seed", "9"])
         assert cfg.seed == 9 and cfg.model == "pxp"
 
-    def test_rejects_unknown_key(self, tmp_path):
+    # the last three were settings once, given here values they accepted
+    @pytest.mark.parametrize(
+        "key, value",
+        [("bogus", 1), ("pxp_boundary", "open_projected"), ("initial", "polarized"), ("cage_start", 0)],
+        ids=["bogus", "pxp_boundary", "initial", "cage_start"],
+    )
+    def test_rejects_unknown_key(self, tmp_path, key, value):
         p = tmp_path / "c.json"
-        p.write_text(json.dumps({"model": "tfim", "length": 4, "bogus": 1}))
+        p.write_text(json.dumps({"model": "tfim", "length": 4, key: value}))
         with pytest.raises(UsageError):
             parse_config(["grid", "--config", str(p)])
 
@@ -97,6 +103,8 @@ class TestConfigTypes:
             ("shadow-curve", {"shots": 3, "batches": 2}),
             ("shadow-curve", {"shots": 0}),
             ("shadow-curve", {"shots": -5}),
+            ("grid", {"subsystem_size": 0}),
+            ("grid", {"subsystem_size": -1}),
         ],
     )
     def test_bad_count_is_usage_error(self, tmp_path, capsys, command, bad):
@@ -226,6 +234,14 @@ class TestMblCageCommand:
         for line in lines:
             _, full, cage = line.split(",")
             assert abs(float(full) - float(cage)) < 1e-8
+
+    @pytest.mark.parametrize("site, cage", [(0, [0, 1, 2]), (5, [3, 4, 5])])
+    def test_cage_shifts_inside_the_chain(self, tmp_path, site, cage):
+        out = tmp_path / "o"
+        args = ["mbl-cage", "--length", "6", "--site", str(site), "--subsystem-size", "2",
+                "--tmax", "1", "--steps", "2", "--out", str(out)]
+        assert main(args) == 0
+        assert json.loads((out / "manifest.json").read_text())["cage_sites"] == cage
 
 
 class TestCliffordVerifyCommand:

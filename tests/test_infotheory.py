@@ -338,10 +338,10 @@ class TestHaarMoments:
 class TestRandomInputs:
     def test_random_density_valid(self):
         rng = np.random.default_rng(11)
-        rho = random_density(6, rng, rank=2)
+        rho = random_density(6, rng)
         w = np.linalg.eigvalsh(rho.matrix)
         assert abs(np.sum(w) - 1) < 1e-10
-        assert np.sum(w > 1e-10) == 2
+        assert np.sum(w > 1e-10) == 6
 
     def test_random_spectrum_valid(self):
         rng = np.random.default_rng(12)

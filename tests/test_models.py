@@ -159,14 +159,6 @@ class TestPXP:
         got = build_pxp(L).matrix
         assert np.max(np.abs(got - want)) < 1e-14
 
-    def test_bulk_only_drops_edges(self):
-        L = 4
-        diff = build_pxp(L).matrix - build_pxp(L, boundary="bulk_only").matrix
-        want = embed([(0, PAULI_X), (1, PXP_PROJECTOR)], L) + embed(
-            [(L - 2, PXP_PROJECTOR), (L - 1, PAULI_X)], L
-        )
-        assert np.max(np.abs(diff - want)) < 1e-14
-
     def test_preserves_blockade_subspace(self):
         # no matrix element connects a constrained state to a state with two
         # adjacent excited (bit 0) sites
@@ -180,10 +172,6 @@ class TestPXP:
         good = [i for i in range(2**L) if valid(i)]
         bad = [i for i in range(2**L) if not valid(i)]
         assert np.max(np.abs(h[np.ix_(bad, good)])) == 0.0
-
-    def test_rejects_bad_boundary(self):
-        with pytest.raises(ValueError):
-            build_pxp(4, boundary="periodic")
 
 
 class TestModelSpec:
@@ -235,12 +223,10 @@ class TestModelSpec:
             ModelSpec("MBL", 4, disorder=draw_disorder(3))
 
 
-def _pxp_terms(L, edges):
+def _pxp_terms(L):
     p = PXP_PROJECTOR
     terms = [(1.0, [(i - 1, p), (i, PAULI_X), (i + 1, p)]) for i in range(1, L - 1)]
-    if edges:
-        terms += [(1.0, [(0, PAULI_X), (1, p)]), (1.0, [(L - 2, p), (L - 1, PAULI_X)])]
-    return terms
+    return terms + [(1.0, [(0, PAULI_X), (1, p)]), (1.0, [(L - 2, p), (L - 1, PAULI_X)])]
 
 
 def _mbl_terms(L, fields, scale):
@@ -274,10 +260,9 @@ _SCALE = np.array([1.0, 0.5, 0.0, 2.0, 1.0])
             lambda: build_mbl(_L, J_perp=0.7, J_z=1.3, disorder=_DIS, bond_scale=_SCALE),
             _mbl_terms(_L, _DIS.fields, _SCALE),
         ),
-        (lambda: build_pxp(_L), _pxp_terms(_L, edges=True)),
-        (lambda: build_pxp(_L, boundary="bulk_only"), _pxp_terms(_L, edges=False)),
+        (lambda: build_pxp(_L), _pxp_terms(_L)),
     ],
-    ids=["tfim", "mfim", "mbl-bond-scale", "pxp", "pxp-bulk-only"],
+    ids=["tfim", "mfim", "mbl-bond-scale", "pxp"],
 )
 def test_builders_equal_kron_embed_sum_exactly(got, terms):
     # the builders add the same terms in the same order as this dense sum

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from scramblescope import qhilbert
 from scramblescope.qhilbert import (
     EIG_ATOL,
     DensityOperator,
@@ -18,7 +19,6 @@ from scramblescope.qhilbert import (
     apply_local_unitary,
     basis_state,
     bit_of,
-    born_sample,
     eigensystem,
     kron_embed,
     partial_trace,
@@ -234,11 +234,17 @@ class TestEigensystem:
         assert np.max(np.abs((v * w) @ v.conj().T - m)) < 1e-10
 
 
+def z_outcomes(psi, uniforms):
+    """Computational-basis outcomes of the Born sampler, one row per uniform."""
+    bases = np.zeros((len(uniforms), psi.n_sites), dtype=np.uint8)
+    return qhilbert._born_outcomes(psi, PAULI_I[None], bases, uniforms)
+
+
 class TestBornSample:
     def test_deterministic_state(self):
         psi = basis_state(3, [1, 0, 1])
-        out = born_sample(psi, np.random.default_rng(0))
-        assert list(out) == [1, 0, 1]
+        out = z_outcomes(psi, np.random.default_rng(0).random(1))
+        assert list(out[0]) == [1, 0, 1]
 
     def test_frequencies_match_born_rule(self):
         # |+> on one qubit: outcome 1 with probability 1/2
@@ -246,7 +252,7 @@ class TestBornSample:
         psi = StateVector(1, amps)
         rng = np.random.default_rng(123)
         n = 20000
-        ones = sum(int(born_sample(psi, rng)[0]) for _ in range(n))
+        ones = int(z_outcomes(psi, rng.random(n)).sum())
         # 5-sigma band around the binomial mean
         assert abs(ones - n / 2) < 5 * np.sqrt(n * 0.25)
 
@@ -255,5 +261,5 @@ class TestBornSample:
         psi = StateVector(1, amps)
         rng = np.random.default_rng(321)
         n = 20000
-        ones = sum(int(born_sample(psi, rng)[0]) for _ in range(n))
+        ones = int(z_outcomes(psi, rng.random(n)).sum())
         assert abs(ones - n * 0.1) < 5 * np.sqrt(n * 0.09)

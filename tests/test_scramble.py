@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from scramblescope import scramble
+from scramblescope import cli, scramble
 from scramblescope.evolve import evolve, make_propagator
 from scramblescope.infotheory import Ensemble, chi_q, holevo_chi
 from scramblescope.models import (
@@ -18,7 +18,6 @@ from scramblescope.scramble import (
     LN_4_3,
     ScrambleScenario,
     default_perturbation_site,
-    default_time_grid,
     exact_chi2_pair,
     exact_metric_grid,
     mbl_cage_compare,
@@ -80,7 +79,9 @@ class TestScenarioValidation:
 
 class TestDefaults:
     def test_time_grid(self):
-        g = default_time_grid()
+        # the grid the CLI builds from its default tmax and steps
+        cfg = cli.RunConfig(command="grid", model="tfim", length=4)
+        g = cli._scenario(cfg, "TFIM", ("chi2",)).time_grid
         assert g[0] == 0.0 and g[-1] == 30.0 and len(g) == 301
 
     def test_pxp_site_is_active(self):
@@ -268,6 +269,17 @@ class TestMblCage:
         s = scenario(kind="MBL", L=6, site=0)
         with pytest.raises(ValueError):
             mbl_cage_compare(SiteSubset([2, 3, 4]), s)
+
+    def test_window_fits_every_cage(self):
+        # every contiguous cage of a chain of up to 8 sites, every site and size
+        for lo in range(8):
+            for hi in range(lo, 8):
+                cage = SiteSubset(range(lo, hi + 1))
+                for site in cage:
+                    for size in range(1, len(cage) + 1):
+                        window = scramble._cage_window(cage, site, size).indices
+                        assert len(window) == size and site in window
+                        assert lo <= window[0] and window[-1] <= hi
 
 
 class TestSectorRoute:

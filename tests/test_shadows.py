@@ -14,7 +14,6 @@ from scramblescope.qhilbert import (
     StateVector,
     apply_local_unitary,
     basis_state,
-    born_sample,
     partial_trace,
     purity,
 )
@@ -22,6 +21,7 @@ from scramblescope.shadows import (
     BASIS_X,
     BASIS_Y,
     BASIS_Z,
+    _BASIS_ROTATIONS,
     Chi2Estimate,
     MoMConfig,
     ShadowSet,
@@ -31,7 +31,6 @@ from scramblescope.shadows import (
     median_of_means,
     pair_kernel,
     sample_shadow_set,
-    sample_snapshot,
 )
 
 
@@ -82,18 +81,24 @@ class TestKernel:
         assert abs(np.trace(snap.dense_matrix()) - 1.0) < 1e-12
 
 
+def forced_outcomes(psi, bases, uniforms):
+    """Born-sampler outcomes for given rows of Pauli basis codes."""
+    bases = np.asarray(bases, dtype=np.uint8)
+    return qhilbert._born_outcomes(psi, _BASIS_ROTATIONS, bases, np.asarray(uniforms))
+
+
 class TestSnapshotSampling:
     def test_z_basis_outcomes_follow_state(self):
         psi = basis_state(3, [1, 0, 1])
-        snap = sample_snapshot(psi, np.random.default_rng(0), bases=[2, 2, 2])
-        assert list(snap.outcomes) == [1, 0, 1]
+        out = forced_outcomes(psi, [[BASIS_Z] * 3], np.random.default_rng(0).random(1))
+        assert list(out[0]) == [1, 0, 1]
 
     def test_x_basis_on_plus_state(self):
         amps = np.ones(2) / np.sqrt(2)
         psi = StateVector(1, amps)
-        for i in range(20):
-            snap = sample_snapshot(psi, np.random.default_rng(i), bases=[BASIS_X])
-            assert snap.outcomes[0] == 0  # |+> always lands on the + outcome
+        uniforms = [np.random.default_rng(i).random() for i in range(20)]
+        out = forced_outcomes(psi, [[BASIS_X]] * 20, uniforms)
+        assert np.all(out == 0)  # |+> always lands on the + outcome
 
     def test_snapshot_mean_reconstructs_state(self):
         # average dense snapshot over many samples approaches the pure state
@@ -169,10 +174,9 @@ class TestSequentialSampler:
             psi = (random_state if seed % 2 else sparse_state)(n, rng)
             forced = rng.integers(0, 3, size=n)
             u = np.random.default_rng([n, seed]).random()
-            snap = sample_snapshot(psi, np.random.default_rng([n, seed]), bases=forced)
-            assert list(snap.outcomes) == reference_outcome(psi, forced, u)
-            out = born_sample(psi, np.random.default_rng([n, seed]))
-            assert list(out) == reference_outcome(psi, [2] * n, u)
+            out = forced_outcomes(psi, [forced, [BASIS_Z] * n], [u, u])
+            assert list(out[0]) == reference_outcome(psi, forced, u)
+            assert list(out[1]) == reference_outcome(psi, [BASIS_Z] * n, u)
 
     def test_chunks_do_not_change_the_draws(self, monkeypatch):
         psi = random_state(5, np.random.default_rng(3))
@@ -200,8 +204,8 @@ class TestSequentialSampler:
         for seed in range(2000):
             rng = np.random.default_rng(seed)
             psi = sparse_state(int(rng.integers(1, 7)), rng)
-            out = born_sample(psi, _FixedUniform(seed, u))
-            index = int("".join(str(b) for b in out), 2)
+            out = forced_outcomes(psi, [[BASIS_Z] * psi.n_sites], [u])
+            index = int("".join(str(b) for b in out[0]), 2)
             assert psi.amplitudes[index] != 0
             snap = sample_shadow_set(psi, 1, _FixedUniform(seed, u))
             rotated = psi
