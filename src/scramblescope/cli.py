@@ -39,6 +39,7 @@ from .qhilbert import DensityOperator, SiteSubset
 from .scramble import (
     METRIC_NAMES,
     ScrambleScenario,
+    _cage_window,
     default_perturbation_site,
     exact_metric_grid,
     mbl_cage_compare,
@@ -115,6 +116,8 @@ class RunConfig:
             raise UsageError(f"unknown model {self.model!r}")
         if self.length is not None and not 1 <= self.subsystem_size <= self.length:
             raise UsageError(f"subsystem_size {self.subsystem_size} is not in [1, {self.length}]")
+        if self.command == "mbl-cage" and not 1 <= self.cage_length <= self.length:
+            raise UsageError(f"cage_length {self.cage_length} is not in [1, {self.length}]")
         for key in ("steps", "batches", "trials", "n_spectra", "n_triples"):
             if getattr(self, key) < 1:
                 raise UsageError(f"{key} must be at least 1")
@@ -192,21 +195,25 @@ def _model_spec(cfg: RunConfig, kind: str) -> ModelSpec:
 
 
 def _scenario(cfg: RunConfig, kind: str, metrics, policy=None) -> ScrambleScenario:
+    """The command's scenario; a value it refuses is a usage error, before any work."""
     site = cfg.site
     if site is None:
         site = default_perturbation_site(kind, cfg.length)
-    return ScrambleScenario(
-        model=_model_spec(cfg, kind),
-        initial_kind="neel" if kind in ("PXP", "MBL") else "polarized",
-        perturbation_site=site,
-        subsystem_size=cfg.subsystem_size,
-        time_grid=np.linspace(0.0, cfg.tmax, cfg.steps),
-        subset_policy=policy if policy is not None else cfg.policy,
-        metrics=tuple(metrics),
-        shots=cfg.shots,
-        master_seed=cfg.seed,
-        n_batches=cfg.batches,
-    )
+    try:
+        return ScrambleScenario(
+            model=_model_spec(cfg, kind),
+            initial_kind="neel" if kind in ("PXP", "MBL") else "polarized",
+            perturbation_site=site,
+            subsystem_size=cfg.subsystem_size,
+            time_grid=np.linspace(0.0, cfg.tmax, cfg.steps),
+            subset_policy=policy if policy is not None else cfg.policy,
+            metrics=tuple(metrics),
+            shots=cfg.shots,
+            master_seed=cfg.seed,
+            n_batches=cfg.batches,
+        )
+    except ValueError as err:
+        raise UsageError(str(err)) from None
 
 
 def _fmt(x) -> str:
@@ -288,9 +295,8 @@ def _cmd_clifford_verify(cfg: RunConfig):
 def _cmd_mbl_cage(cfg: RunConfig):
     scenario = _scenario(cfg, "MBL", ("chi2",))
     # Around the perturbation site, shifted to fit inside the chain.
-    start = scenario.perturbation_site - cfg.cage_length // 2
-    start = min(max(start, 0), cfg.length - cfg.cage_length)
-    cage = SiteSubset(range(start, start + cfg.cage_length))
+    chain = SiteSubset(range(cfg.length))
+    cage = _cage_window(chain, scenario.perturbation_site, cfg.cage_length)
     rows = mbl_cage_compare(cage, scenario, cfg.boundary_scale)
     extra = {"scenario": scenario.scenario_echo(), "cage_sites": list(cage.indices)}
     return {"mbl_cage": (("t", "chi2_full", "chi2_cage"), rows)}, extra

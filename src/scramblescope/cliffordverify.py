@@ -1,14 +1,15 @@
 """Finite Clifford sampling as a stand-in for the Haar average behind chi2.
 
-The single-qubit Clifford group (24 elements, a 2-design) makes the purity
-inversion exact when averaged in full; random Hadamard/Phase/CNOT circuits
-provide the two-qubit ensemble. Probabilities are computed exactly from the
-density matrix so that only unitary-sampling error is visible.
+The Clifford groups C1 (24 elements) and C2 (11,520, up to phase) are unitary
+2-designs, so averaging over either in full makes the purity inversion exact;
+one- and two-site subsystems draw uniformly from C1 and C2. Probabilities are
+computed exactly from the density matrix so that only unitary-sampling error
+is visible.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import cache
 
 import numpy as np
 
@@ -19,9 +20,6 @@ from .scramble import ScrambleScenario, _trajectory, exact_chi2_pair, prepare_en
 from .seeding import substream_rng
 
 _PHASE_TOL = 1e-10
-
-# Gates per random two-qubit circuit in the convergence experiment.
-CIRCUIT_DEPTH = 50
 
 
 def _phase_canonical(u: np.ndarray) -> np.ndarray:
@@ -59,51 +57,32 @@ def same_up_to_phase(a: np.ndarray, b: np.ndarray, atol: float = 1e-10) -> bool:
     return np.max(np.abs(_phase_canonical(a) - _phase_canonical(b))) < atol
 
 
-_GATE_MATS = {"H": HADAMARD, "S": PHASE_S}
-
-
-@lru_cache(maxsize=64)
-def _gate_unitary(name: str, sites: tuple, n_qubits: int) -> np.ndarray:
-    """Dense matrix of one gate; cached, so the shared array is read-only."""
-    dim = 2 ** n_qubits
-    if name in _GATE_MATS:
-        u = np.ones((1, 1), dtype=complex)
-        for q in range(n_qubits):
-            u = np.kron(u, _GATE_MATS[name] if q == sites[0] else PAULI_I)
-    else:
-        control, target = sites
-        u = np.zeros((dim, dim), dtype=complex)
-        for b in range(dim):
-            cbit = (b >> (n_qubits - 1 - control)) & 1
-            out = b ^ (cbit << (n_qubits - 1 - target))
-            u[out, b] = 1.0
-    u.setflags(write=False)
-    return u
-
-
-def random_clifford_circuit(n_qubits: int, depth: int, rng: np.random.Generator) -> np.ndarray:
-    """Dense unitary of depth gates over {H, S, CNOT}, each drawn uniformly.
-
-    Each gate multiplies the running product from the left, as it is drawn.
+@cache
+def _c2_tables() -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """C1 and the 20 class cores of C2 (Corcoles et al., PRA 87, 030301 (2013)):
+    the identity; CNOT, then iSWAP, after each of the 9 products {I, R, R^2} x
+    {I, R, R^2}, where R = H S has order 3 up to phase; and SWAP.
     """
-    if n_qubits < 1:
-        raise ValueError("need at least one qubit")
-    if depth < 1:
-        raise ValueError("depth must be at least 1")
-    names = ("H", "S", "CNOT") if n_qubits >= 2 else ("H", "S")
-    u = np.eye(2 ** n_qubits, dtype=complex)
-    for _ in range(depth):
-        name = names[rng.integers(len(names))]
-        if name == "CNOT":
-            control = int(rng.integers(n_qubits))
-            target = int(rng.integers(n_qubits - 1))
-            if target >= control:
-                target += 1
-            sites = (control, target)
-        else:
-            sites = (int(rng.integers(n_qubits)),)
-        u = _gate_unitary(name, sites, n_qubits) @ u
-    return u
+    r = HADAMARD @ PHASE_S
+    powers = [PAULI_I, r, r @ r]
+    mixers = [np.kron(a, b) for a in powers for b in powers]
+    cnot = np.eye(4)[[0, 1, 3, 2]]  # control on site 0, the most significant bit
+    iswap = np.array([[1, 0, 0, 0], [0, 0, 1j, 0], [0, 1j, 0, 0], [0, 0, 0, 1]])
+    swap = np.eye(4)[[0, 2, 1, 3]]
+    cores = [np.eye(4, dtype=complex)] + [g @ m for g in (cnot, iswap) for m in mixers] + [swap]
+    return enumerate_c1(), cores
+
+
+def random_clifford_circuit(rng: np.random.Generator) -> np.ndarray:
+    """One uniform draw from C2, the 11,520 two-qubit Cliffords up to phase.
+
+    Draw i is the local pair C1[pair // 24] x C1[pair % 24] after class core
+    `core`, for core, pair = divmod(i, 576): local Cliffords around a CNOT,
+    iSWAP or SWAP core.
+    """
+    c1, cores = _c2_tables()
+    core, pair = divmod(int(rng.integers(11520)), 576)
+    return np.kron(c1[pair // 24], c1[pair % 24]) @ cores[core]
 
 
 def purity_from_basis_sampling(rho_A: DensityOperator, unitaries) -> float:
@@ -143,10 +122,9 @@ def clifford_convergence_experiment(
     """Sampled-chi2 convergence table for the scar-model scenario.
 
     For each time, trial and sample count N, the three subsystem purities are
-    reconstructed from N sampled unitaries (uniform over the 24 Cliffords for
-    one-site subsystems, fresh CIRCUIT_DEPTH-gate circuits for two-site
-    ones), then combined into chi2. Rows: (t, L_A, N, trial, chi2_est,
-    chi2_exact).
+    reconstructed from N sampled unitaries (uniform over the 24 elements of C1
+    for one-site subsystems, over the 11,520 of C2 for two-site ones), then
+    combined into chi2. Rows: (t, L_A, N, trial, chi2_est, chi2_exact).
     """
     if s.model.kind != "PXP":
         raise ValueError("the convergence experiment targets the PXP scenario")
@@ -173,9 +151,7 @@ def clifford_convergence_experiment(
                     idx = rng.integers(0, 24, size=n_samples)
                     unitaries = [c1[i] for i in idx]
                 else:
-                    unitaries = [
-                        random_clifford_circuit(2, CIRCUIT_DEPTH, rng) for _ in range(n_samples)
-                    ]
+                    unitaries = [random_clifford_circuit(rng) for _ in range(n_samples)]
                 p1 = purity_from_basis_sampling(rho1, unitaries)
                 p2 = purity_from_basis_sampling(rho2, unitaries)
                 pm = purity_from_basis_sampling(mix, unitaries)

@@ -105,6 +105,15 @@ class TestConfigTypes:
             ("shadow-curve", {"shots": -5}),
             ("grid", {"subsystem_size": 0}),
             ("grid", {"subsystem_size": -1}),
+            ("grid", {"length": 6, "site": -1}),
+            ("grid", {"length": 6, "site": 9}),
+            ("grid", {"policy": "foo"}),
+            ("grid", {"metrics": ["foo"]}),
+            ("grid", {"tmax": -1.0}),
+            ("mbl-cage", {"disorder_width": -1.0}),
+            ("mbl-cage", {"length": 6, "cage_length": 0}),
+            ("mbl-cage", {"length": 6, "cage_length": -2}),
+            ("mbl-cage", {"length": 6, "cage_length": 7}),
         ],
     )
     def test_bad_count_is_usage_error(self, tmp_path, capsys, command, bad):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from scramblescope.cliffordverify import (
+    _phase_key,
     clifford_convergence_experiment,
     enumerate_c1,
     purity_from_basis_sampling,
@@ -15,7 +16,7 @@ from scramblescope.cliffordverify import (
 )
 from scramblescope.infotheory import random_density
 from scramblescope.models import ModelSpec
-from scramblescope.qhilbert import HADAMARD, PAULI_X, PAULI_Y, PAULI_Z, PHASE_S
+from scramblescope.qhilbert import PAULI_X, PAULI_Y, PAULI_Z
 from scramblescope.scramble import ScrambleScenario
 
 
@@ -61,40 +62,27 @@ class TestEnumerateC1:
 
 class StubRng:
     """Stands in for a Generator: records each integers(high) call and answers
-    it from a script of draws or, without one, from a seeded generator."""
+    it from a script of draws."""
 
-    def __init__(self, draws=None):
-        self.draws = None if draws is None else list(draws)
-        self.real = np.random.default_rng(0)
+    def __init__(self, draws):
+        self.draws = list(draws)
         self.highs = []
 
     def integers(self, high):
         self.highs.append(high)
-        return self.real.integers(high) if self.draws is None else self.draws.pop(0)
+        return self.draws.pop(0)
 
 
-class TestCircuits:
-    def test_unitary_composition_order(self):
-        # one qubit, gate names (H, S): H on site 0, then S on site 0
-        rng = StubRng([0, 0, 1, 0])
-        u = random_clifford_circuit(1, 2, rng)
-        assert rng.highs == [2, 1, 2, 1] and not rng.draws
-        assert np.max(np.abs(u - PHASE_S @ HADAMARD)) < 1e-12
-
-    def test_cnot_action(self):
-        # gate names (H, S, CNOT): CNOT, control 0, target draw 0 (skips the control)
-        u = random_clifford_circuit(2, 1, StubRng([2, 0, 0]))
-        # control is site 0 (MSB): |10> -> |11>
-        v = np.zeros(4)
-        v[2] = 1.0
-        out = u @ v
-        assert abs(out[3] - 1.0) < 1e-12
-
-    def test_random_circuit_unitary(self):
-        rng = StubRng()
-        u = random_clifford_circuit(2, 50, rng)
-        assert rng.highs.count(3) == 50  # one gate-name draw per layer
-        assert np.max(np.abs(u @ u.conj().T - np.eye(4))) < 1e-10
+class TestRandomClifford:
+    def test_one_draw_decodes_core_and_local_pair(self):
+        rng = StubRng([0, 11519])
+        assert np.max(np.abs(random_clifford_circuit(rng) - np.eye(4))) < 1e-12
+        assert rng.highs == [11520]
+        c1 = enumerate_c1()
+        swap = np.eye(4)[[0, 2, 1, 3]]
+        want = np.kron(c1[23], c1[23]) @ swap
+        assert np.max(np.abs(random_clifford_circuit(rng) - want)) < 1e-12
+        assert rng.highs == [11520, 11520] and not rng.draws
 
 
 class TestPurityInversion:
@@ -106,12 +94,16 @@ class TestPurityInversion:
             p = float(np.sum(np.abs(rho.matrix) ** 2))
             assert abs(purity_from_basis_sampling(rho, c1) - p) < 1e-12
 
-    def test_two_qubit_circuits_approximate(self):
+    def test_exact_with_full_c2(self):
+        rng = StubRng(range(11520))
+        c2 = np.stack([random_clifford_circuit(rng) for _ in range(11520)])
+        assert np.max(np.abs(c2 @ c2.conj().transpose(0, 2, 1) - np.eye(4))) < 1e-12
+        assert len({_phase_key(u) for u in c2}) == 11520
         rng = np.random.default_rng(2)
-        rho = random_density(4, rng)
-        p = float(np.sum(np.abs(rho.matrix) ** 2))
-        us = [random_clifford_circuit(2, 50, rng) for _ in range(3000)]
-        assert abs(purity_from_basis_sampling(rho, us) - p) < 0.05
+        for _ in range(25):
+            rho = random_density(4, rng)
+            p = float(np.sum(np.abs(rho.matrix) ** 2))
+            assert abs(purity_from_basis_sampling(rho, c2) - p) < 1e-12
 
     def test_rejects_empty(self):
         rho = random_density(2, np.random.default_rng(3))
@@ -121,7 +113,7 @@ class TestPurityInversion:
     def test_equals_per_unitary_loop(self):
         rng = np.random.default_rng(4)
         rho = random_density(4, rng)
-        us = [random_clifford_circuit(2, 50, rng) for _ in range(37)]
+        us = [random_clifford_circuit(rng) for _ in range(37)]
         acc = 0.0
         for u in us:
             probs = np.einsum("ja,ab,jb->j", u, rho.matrix, u.conj(), optimize=True).real
