@@ -11,7 +11,6 @@ from .qhilbert import (  # noqa: F401
     apply_local_unitary,
     basis_state,
     eigensystem,
-    kron_embed,
     partial_trace,
     purity,
 )
@@ -42,11 +41,8 @@ from .shadows import (  # noqa: F401
     Chi2Estimate,
     MoMConfig,
     ShadowSet,
-    Snapshot,
     chi2_estimate_many,
     kernel_value,
-    median_of_means,
-    pair_kernel,
     sample_shadow_set,
 )
 from .scramble import (  # noqa: F401

@@ -118,6 +118,12 @@ class RunConfig:
             raise UsageError(f"subsystem_size {self.subsystem_size} is not in [1, {self.length}]")
         if self.command == "mbl-cage" and not 1 <= self.cage_length <= self.length:
             raise UsageError(f"cage_length {self.cage_length} is not in [1, {self.length}]")
+        if self.command == "mbl-cage" and self.subsystem_size > self.cage_length:
+            raise UsageError(f"subsystem_size {self.subsystem_size} exceeds cage_length {self.cage_length}")
+        if self.command == "clifford-verify" and self.subsystem_size not in (1, 2):
+            raise UsageError(f"subsystem_size {self.subsystem_size} is not 1 or 2 for clifford-verify")
+        if self.tmax < 0:
+            raise UsageError(f"tmax must be at least 0, got {self.tmax}")
         for key in ("steps", "batches", "trials", "n_spectra", "n_triples"):
             if getattr(self, key) < 1:
                 raise UsageError(f"{key} must be at least 1")

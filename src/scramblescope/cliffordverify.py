@@ -53,10 +53,6 @@ def enumerate_c1() -> list[np.ndarray]:
     return elements
 
 
-def same_up_to_phase(a: np.ndarray, b: np.ndarray, atol: float = 1e-10) -> bool:
-    return np.max(np.abs(_phase_canonical(a) - _phase_canonical(b))) < atol
-
-
 @cache
 def _c2_tables() -> tuple[list[np.ndarray], list[np.ndarray]]:
     """C1 and the 20 class cores of C2 (Corcoles et al., PRA 87, 030301 (2013)):

@@ -51,10 +51,6 @@ class Ensemble:
         avg = sum(p * rho.matrix for p, rho in mem)
         object.__setattr__(self, "_average", DensityOperator(dims.pop(), avg))
 
-    @property
-    def dim(self) -> int:
-        return self.members[0][1].dim
-
     def average(self) -> DensityOperator:
         return self._average
 

@@ -31,11 +31,6 @@ def _as_complex_array(a) -> np.ndarray:
     return np.asarray(a, dtype=complex)
 
 
-def bit_of(index: int, site: int, n_sites: int) -> int:
-    """Bit of a basis index at a given site (site 0 = most significant)."""
-    return (index >> (n_sites - 1 - site)) & 1
-
-
 @dataclass(frozen=True)
 class StateVector:
     """Normalized pure state of an n_sites-qubit chain."""
@@ -101,13 +96,6 @@ class SiteSubset:
             raise ValueError(
                 f"site {self.indices[-1]} out of range for {n_sites}-site chain"
             )
-
-    def complement(self, n_sites: int) -> "SiteSubset":
-        self.validate_for(n_sites)
-        rest = [i for i in range(n_sites) if i not in self.indices]
-        if not rest:
-            raise ValueError("complement of the full chain is empty")
-        return SiteSubset(rest)
 
 
 @dataclass(frozen=True)
@@ -175,32 +163,6 @@ class Spectrum:
         if abs(total - 1.0) > 1e-8:
             raise ValueError(f"spectrum sums to {total}, expected 1")
         object.__setattr__(self, "values", np.clip(v, 0.0, None))
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-
-def kron_embed(local_ops, n_sites: int) -> HermitianOperator:
-    """Kronecker-embed single-site 2x2 Hermitian operators into the full chain.
-
-    local_ops is an iterable of (site, 2x2 matrix) pairs; identity is used on
-    every unlisted site. Site 0 is the leftmost Kronecker factor.
-    """
-    ops = {}
-    for site, op in local_ops:
-        site = int(site)
-        if site < 0 or site >= n_sites:
-            raise ValueError(f"site {site} out of range for {n_sites} sites")
-        if site in ops:
-            raise ValueError(f"duplicate site {site} in local operator list")
-        m = _as_complex_array(op)
-        if m.shape != (2, 2):
-            raise ValueError("local operators must be 2x2")
-        ops[site] = m
-    full = np.ones((1, 1), dtype=complex)
-    for site in range(n_sites):
-        full = np.kron(full, ops.get(site, PAULI_I))
-    return HermitianOperator(2 ** n_sites, full)
 
 
 def apply_local_unitary(state: StateVector, site: int, u) -> StateVector:

@@ -34,7 +34,6 @@ from .shadows import MoMConfig, check_shadow_memory, chi2_estimate_many, sample_
 
 METRIC_NAMES = ("chi2", "holevo", "chi_q")
 POLICIES = ("windows_containing_x", "all_subsets")
-LN_4_3 = math.log(4.0 / 3.0)
 # Most subsets the all_subsets policy enumerates. shadow-curve enumerates them
 # before the 13-site dense limit refuses, so the cap is reachable from 17 sites.
 SUBSET_CAP = 20000
@@ -72,6 +71,15 @@ class ScrambleScenario:
             raise ValueError(f"unknown initial state kind {self.initial_kind!r}")
         if not 0 <= self.perturbation_site < L:
             raise ValueError(f"perturbation site {self.perturbation_site} out of range")
+        if self.model.kind == "PXP":
+            if self.initial_kind != "neel":
+                raise ValueError("PXP scenarios must start from the Neel state")
+            if _initial_bits("neel", L)[self.perturbation_site] != 0:
+                raise ValueError(
+                    "PXP perturbation must de-excite an active (spin-up) site; "
+                    f"site {self.perturbation_site} is inactive and the flip would "
+                    "exit the blockade-respecting subspace"
+                )
         if not 1 <= self.subsystem_size <= L:
             raise ValueError(f"subsystem size {self.subsystem_size} out of range")
         if self.subset_policy not in POLICIES:
@@ -131,17 +139,7 @@ def _initial_bits(kind: str, n_sites: int) -> list[int]:
 
 def prepare_ensemble(s: ScrambleScenario) -> tuple[StateVector, StateVector]:
     """Unperturbed product state and its single-site flip."""
-    bits = _initial_bits(s.initial_kind, s.model.n_sites)
-    if s.model.kind == "PXP":
-        if s.initial_kind != "neel":
-            raise ValueError("PXP scenarios must start from the Neel state")
-        if bits[s.perturbation_site] != 0:
-            raise ValueError(
-                "PXP perturbation must de-excite an active (spin-up) site; "
-                f"site {s.perturbation_site} is inactive and the flip would "
-                "exit the blockade-respecting subspace"
-            )
-    return _flip_pair(bits, s.perturbation_site)
+    return _flip_pair(_initial_bits(s.initial_kind, s.model.n_sites), s.perturbation_site)
 
 
 def _flip_pair(bits, site: int) -> tuple[StateVector, StateVector]:

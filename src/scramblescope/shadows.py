@@ -45,15 +45,6 @@ _BASIS_ROTATIONS = np.array([
     PAULI_I,                        # Z
 ])
 
-# Single-site snapshot factor 3 U^dag |b><b| U - I for each (basis, bit).
-def _snapshot_factor(basis: int, bit: int) -> np.ndarray:
-    u = _BASIS_ROTATIONS[basis]
-    ket = np.zeros(2, dtype=complex)
-    ket[bit] = 1.0
-    eig = u.conj().T @ ket
-    return 3.0 * np.outer(eig, eig.conj()) - PAULI_I
-
-
 def kernel_value(basis1: int, bit1: int, basis2: int, bit2: int) -> float:
     """Trace inner product of two single-site snapshot factors."""
     for b in (basis1, basis2):
@@ -76,41 +67,6 @@ _KERNEL_TABLE = np.array(
 )
 
 
-def _store_codes(record):
-    """Check a record's code values, then store them as uint8 (the cast wraps)."""
-    b, o = np.asarray(record.bases), np.asarray(record.outcomes)
-    if np.any((b < 0) | (b > 2)) or np.any((o < 0) | (o > 1)):
-        raise ValueError("basis codes must be in {0,1,2}, outcomes in {0,1}")
-    b, o = b.astype(np.uint8, copy=False), o.astype(np.uint8, copy=False)
-    object.__setattr__(record, "bases", b)
-    object.__setattr__(record, "outcomes", o)
-    return b, o
-
-
-@dataclass(frozen=True)
-class Snapshot:
-    """One classical-shadow record: per-site basis codes and outcome bits."""
-
-    bases: np.ndarray
-    outcomes: np.ndarray
-
-    def __post_init__(self):
-        b, o = _store_codes(self)
-        if b.shape != o.shape or b.ndim != 1:
-            raise ValueError("bases and outcomes must be 1-D arrays of equal length")
-
-    @property
-    def n_sites(self) -> int:
-        return len(self.bases)
-
-    def dense_matrix(self) -> np.ndarray:
-        """Full tensor-product snapshot matrix (test oracle; exponential size)."""
-        m = np.ones((1, 1), dtype=complex)
-        for basis, bit in zip(self.bases, self.outcomes):
-            m = np.kron(m, _snapshot_factor(int(basis), int(bit)))
-        return m
-
-
 @dataclass(frozen=True)
 class ShadowSet:
     """Ordered collection of snapshots from one source state."""
@@ -120,15 +76,18 @@ class ShadowSet:
     n_sites: int
 
     def __post_init__(self):
-        b, o = _store_codes(self)
+        # Checked before the uint8 cast, which wraps.
+        b, o = np.asarray(self.bases), np.asarray(self.outcomes)
+        if np.any((b < 0) | (b > 2)) or np.any((o < 0) | (o > 1)):
+            raise ValueError("basis codes must be in {0,1,2}, outcomes in {0,1}")
+        b, o = b.astype(np.uint8, copy=False), o.astype(np.uint8, copy=False)
+        object.__setattr__(self, "bases", b)
+        object.__setattr__(self, "outcomes", o)
         if b.ndim != 2 or b.shape != o.shape or b.shape[1] != self.n_sites:
             raise ValueError("snapshot arrays must be (M, n_sites) and congruent")
 
     def __len__(self) -> int:
         return self.bases.shape[0]
-
-    def __getitem__(self, i: int) -> Snapshot:
-        return Snapshot(self.bases[i], self.outcomes[i])
 
     def codes(self) -> np.ndarray:
         """Packed per-site records basis*2 + bit, uint8 of shape (M, n_sites)."""
@@ -173,32 +132,6 @@ def check_shadow_memory(n_sites: int, n_snapshots: int, mom: MoMConfig, kernel_s
             f"need {max(codes, kernels) / 2 ** 30:.3g} GiB, above the shadow memory "
             f"limit of {MAX_SHADOW_BYTES / 2 ** 30:g} GiB"
         )
-
-
-def pair_kernel(s1: Snapshot, s2: Snapshot, subset: SiteSubset) -> float:
-    """Product of single-site kernel values over the subset sites."""
-    if s1.n_sites != s2.n_sites:
-        raise ValueError("snapshots come from different chain lengths")
-    subset.validate_for(s1.n_sites)
-    value = 1.0
-    for site in subset:
-        value *= kernel_value(
-            int(s1.bases[site]), int(s1.outcomes[site]),
-            int(s2.bases[site]), int(s2.outcomes[site]),
-        )
-    return value
-
-
-def median_of_means(samples, K: int) -> float:
-    """Median of K in-order batch means; K=1 reduces to the plain mean."""
-    samples = np.asarray(samples, dtype=float)
-    if K < 1:
-        raise ValueError("K must be at least 1")
-    if K > len(samples):
-        raise ValueError(f"K={K} exceeds {len(samples)} samples")
-    usable = (len(samples) // K) * K
-    means = samples[:usable].reshape(K, -1).mean(axis=1)
-    return float(np.median(means))
 
 
 def _kernel_medians(

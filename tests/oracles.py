@@ -1,0 +1,93 @@
+"""Independent judges for the tests: slow, direct forms of what the package computes.
+
+Nothing here runs in a command. Each judge is written from the definition,
+term by term or densely, so that the package's fast paths can be checked
+against it; only public `scramblescope` names are imported.
+"""
+
+import numpy as np
+
+from scramblescope.qhilbert import (
+    PAULI_I,
+    PAULI_X,
+    PAULI_Y,
+    PAULI_Z,
+    HermitianOperator,
+    SiteSubset,
+)
+from scramblescope.shadows import kernel_value
+
+_PAULIS = (PAULI_X, PAULI_Y, PAULI_Z)  # indexed by the basis codes X, Y, Z
+
+
+def bit_of(index: int, site: int, n_sites: int) -> int:
+    """Bit of a basis index at a given site (site 0 = most significant)."""
+    return (index >> (n_sites - 1 - site)) & 1
+
+
+def complement(subset: SiteSubset, n_sites: int) -> SiteSubset:
+    """The chain sites outside a subset."""
+    return SiteSubset(i for i in range(n_sites) if i not in subset.indices)
+
+
+def kron_embed(local_ops, n_sites: int) -> HermitianOperator:
+    """Kronecker-embed single-site 2x2 Hermitian operators into the full chain.
+
+    local_ops is an iterable of (site, 2x2 matrix) pairs; identity is used on
+    every unlisted site. Site 0 is the leftmost Kronecker factor.
+    """
+    ops = {}
+    for site, op in local_ops:
+        site = int(site)
+        if site < 0 or site >= n_sites:
+            raise ValueError(f"site {site} out of range for {n_sites} sites")
+        if site in ops:
+            raise ValueError(f"duplicate site {site} in local operator list")
+        m = np.asarray(op, dtype=complex)
+        if m.shape != (2, 2):
+            raise ValueError("local operators must be 2x2")
+        ops[site] = m
+    full = np.ones((1, 1), dtype=complex)
+    for site in range(n_sites):
+        full = np.kron(full, ops.get(site, PAULI_I))
+    return HermitianOperator(2 ** n_sites, full)
+
+
+def dense_snapshot(bases, outcomes) -> np.ndarray:
+    """Full tensor-product snapshot matrix (exponential size).
+
+    The factor of one site is 3|b><b| - I for the measured eigenstate |b> of
+    the Pauli sigma_basis, that is (I + 3 (-1)^bit sigma_basis) / 2: bit 0 is
+    the +1 eigenstate.
+    """
+    m = np.ones((1, 1), dtype=complex)
+    for basis, bit in zip(bases, outcomes):
+        m = np.kron(m, (PAULI_I + 3.0 * (-1) ** int(bit) * _PAULIS[int(basis)]) / 2.0)
+    return m
+
+
+def pair_kernel(x, i: int, y, j: int, subset: SiteSubset) -> float:
+    """Product over the subset sites of the kernel between snapshot i of
+    shadow set x and snapshot j of shadow set y."""
+    if x.n_sites != y.n_sites:
+        raise ValueError("snapshots come from different chain lengths")
+    subset.validate_for(x.n_sites)
+    value = 1.0
+    for site in subset:
+        value *= kernel_value(
+            int(x.bases[i, site]), int(x.outcomes[i, site]),
+            int(y.bases[j, site]), int(y.outcomes[j, site]),
+        )
+    return value
+
+
+def median_of_means(samples, K: int) -> float:
+    """Median of K in-order batch means; K=1 reduces to the plain mean."""
+    samples = np.asarray(samples, dtype=float)
+    if K < 1:
+        raise ValueError("K must be at least 1")
+    if K > len(samples):
+        raise ValueError(f"K={K} exceeds {len(samples)} samples")
+    usable = (len(samples) // K) * K
+    means = samples[:usable].reshape(K, -1).mean(axis=1)
+    return float(np.median(means))

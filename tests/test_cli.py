@@ -114,6 +114,12 @@ class TestConfigTypes:
             ("mbl-cage", {"length": 6, "cage_length": 0}),
             ("mbl-cage", {"length": 6, "cage_length": -2}),
             ("mbl-cage", {"length": 6, "cage_length": 7}),
+            ("grid", {"model": "pxp", "length": 6, "site": 1}),
+            ("shadow-curve", {"model": "pxp", "length": 6, "site": 1, "shots": 200}),
+            ("clifford-verify", {"length": 6, "site": 1}),
+            ("clifford-verify", {"length": 6, "subsystem_size": 3}),
+            ("mbl-cage", {"length": 6, "subsystem_size": 4}),
+            ("grid", {"tmax": -1.0, "steps": 1}),
         ],
     )
     def test_bad_count_is_usage_error(self, tmp_path, capsys, command, bad):

@@ -11,7 +11,6 @@ from scramblescope.cliffordverify import (
     enumerate_c1,
     purity_from_basis_sampling,
     random_clifford_circuit,
-    same_up_to_phase,
     summarize_convergence,
 )
 from scramblescope.infotheory import random_density
@@ -25,7 +24,8 @@ class TestEnumerateC1:
         elems = enumerate_c1()
         assert len(elems) == 24
         for a, b in itertools.combinations(elems, 2):
-            assert not same_up_to_phase(a, b)
+            # equal up to phase exactly when |Tr(a^dag b)| = 2
+            assert abs(np.trace(a.conj().T @ b)) < 2 - 1e-9
 
     def test_all_unitary(self):
         for e in enumerate_c1():

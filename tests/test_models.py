@@ -23,9 +23,9 @@ from scramblescope.qhilbert import (
     PAULI_X,
     PAULI_Y,
     PAULI_Z,
-    bit_of,
-    kron_embed,
 )
+
+from oracles import bit_of, kron_embed
 
 
 def embed(ops, L):

@@ -21,7 +21,8 @@ from scramblescope.qhilbert import (
     partial_trace,
     purity,
 )
-from scramblescope.shadows import median_of_means
+
+from oracles import complement, median_of_means
 
 
 def simplex(draw, n):
@@ -88,7 +89,7 @@ def test_complementary_purities_equal(seed, keep_mask):
     psi = StateVector(n, amps / np.linalg.norm(amps))
     keep = SiteSubset(sorted({keep_mask % n, (keep_mask * 2 + 1) % n}))
     p_a = purity(partial_trace(psi, keep))
-    p_b = purity(partial_trace(psi, keep.complement(n)))
+    p_b = purity(partial_trace(psi, complement(keep, n)))
     assert abs(p_a - p_b) < 1e-10
 
 

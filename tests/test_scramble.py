@@ -1,5 +1,7 @@
 """Scenario orchestration: anchors, symmetries, policies, cage comparison."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -15,7 +17,6 @@ from scramblescope.models import (
 )
 from scramblescope.qhilbert import SiteSubset, basis_state, partial_trace
 from scramblescope.scramble import (
-    LN_4_3,
     ScrambleScenario,
     default_perturbation_site,
     exact_chi2_pair,
@@ -25,6 +26,8 @@ from scramblescope.scramble import (
     qualifying_subsets,
     shadow_metric_curve,
 )
+
+LN_4_3 = math.log(4.0 / 3.0)
 
 
 def scenario(kind="TFIM", L=6, site=None, size=2, times=(0.0,), **kw):

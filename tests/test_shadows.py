@@ -25,13 +25,12 @@ from scramblescope.shadows import (
     Chi2Estimate,
     MoMConfig,
     ShadowSet,
-    Snapshot,
     chi2_estimate_many,
     kernel_value,
-    median_of_means,
-    pair_kernel,
     sample_shadow_set,
 )
+
+from oracles import dense_snapshot, median_of_means, pair_kernel
 
 
 def random_state(n_sites, rng):
@@ -43,8 +42,8 @@ class TestKernel:
     def test_all_36_pairs_match_dense_oracle(self):
         # oracle: build both single-site snapshot matrices densely and trace
         for b1, o1, b2, o2 in itertools.product(range(3), range(2), repeat=2):
-            s1 = Snapshot([b1], [o1]).dense_matrix()
-            s2 = Snapshot([b2], [o2]).dense_matrix()
+            s1 = dense_snapshot([b1], [o1])
+            s2 = dense_snapshot([b2], [o2])
             dense = float(np.trace(s1 @ s2).real)
             assert abs(kernel_value(b1, o1, b2, o2) - dense) < 1e-12
 
@@ -65,20 +64,22 @@ class TestKernel:
         with pytest.raises(ValueError):
             ShadowSet(np.array([[258]]), np.array([[0]]), 1)
         with pytest.raises(ValueError):
-            Snapshot([-1], [0])
+            ShadowSet(np.array([[-1]]), np.array([[0]]), 1)
         for bit in (2, 7):
             with pytest.raises(ValueError):
                 ShadowSet(np.array([[0, 2]]), np.array([[0, bit]]), 2)
 
     def test_pair_kernel_is_sitewise_product(self):
-        s1 = Snapshot([BASIS_X, BASIS_Z, BASIS_Y], [0, 1, 0])
-        s2 = Snapshot([BASIS_X, BASIS_Z, BASIS_Z], [0, 1, 1])
+        s = ShadowSet(
+            np.array([[BASIS_X, BASIS_Z, BASIS_Y], [BASIS_X, BASIS_Z, BASIS_Z]]),
+            np.array([[0, 1, 0], [0, 1, 1]]),
+            3,
+        )
         sub = SiteSubset([0, 1, 2])
-        assert pair_kernel(s1, s2, sub) == 5.0 * 5.0 * 0.5
+        assert pair_kernel(s, 0, s, 1, sub) == 5.0 * 5.0 * 0.5
 
     def test_dense_matrix_unit_trace(self):
-        snap = Snapshot([BASIS_X, BASIS_Y], [1, 0])
-        assert abs(np.trace(snap.dense_matrix()) - 1.0) < 1e-12
+        assert abs(np.trace(dense_snapshot([BASIS_X, BASIS_Y], [1, 0])) - 1.0) < 1e-12
 
 
 def forced_outcomes(psi, bases, uniforms):
@@ -109,7 +110,7 @@ class TestSnapshotSampling:
         m = 30000
         shadows = sample_shadow_set(psi, m, rng)
         for i in range(m):
-            acc += shadows[i].dense_matrix()
+            acc += dense_snapshot(shadows.bases[i], shadows.outcomes[i])
         err = np.max(np.abs(acc / m - rho))
         assert err < 0.05
 
@@ -310,7 +311,7 @@ class TestChi2Estimate:
             for k in range(mom.n_batches):
                 batch = range(k * mom.batch_size, (k + 1) * mom.batch_size)
                 means.append(np.mean([
-                    pair_kernel(x[i], y[j], sub)
+                    pair_kernel(x, i, y, j, sub)
                     for i in batch for j in batch if not (same_set and i == j)
                 ]))
             return np.median(means)
