@@ -10,7 +10,6 @@ from .qhilbert import (  # noqa: F401
     StateVector,
     apply_local_unitary,
     basis_state,
-    eigensystem,
     partial_trace,
     purity,
 )
@@ -24,7 +23,7 @@ from .models import (  # noqa: F401
     build_tfim,
     draw_disorder,
 )
-from .evolve import Propagator, evolve, make_propagator  # noqa: F401
+from .evolve import evolve, make_propagator  # noqa: F401
 from .infotheory import (  # noqa: F401
     Ensemble,
     chi2,

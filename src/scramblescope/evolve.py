@@ -3,8 +3,8 @@
 H is block-diagonal over the connected components of its nonzero pattern,
 so exp(-iHt) never moves weight from one component to another. A
 propagator diagonalises only the components that hold its initial states'
-support (the PXP constrained space, an S^z sector) and evolves inside them;
-built without states, it covers the whole space.
+support (the PXP constrained space, an S^z sector) and evolves each one on
+its own; built without states, it is one block covering the whole space.
 """
 
 from __future__ import annotations
@@ -14,40 +14,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qhilbert import HermitianOperator, StateVector, eigensystem
+from .qhilbert import HermitianOperator, StateVector
 
 
 @dataclass(frozen=True)
 class Propagator:
-    """Eigendecomposition of H on one invariant sector, reused across a time grid.
+    """Eigendecomposition of H on each reachable block, reused across a time grid.
 
-    `sector` holds the basis indices that the eigenvectors' rows stand for;
-    it defaults to the whole dim-dimensional space, in order.
+    `blocks` holds one (basis indices, eigenvalues, eigenvector columns)
+    triple per block, the last two as `np.linalg.eigh` returns them for H
+    restricted to those indices.
     """
 
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
     dim: int
-    sector: np.ndarray | None = None
-
-    def __post_init__(self):
-        v = np.asarray(self.eigenvectors, dtype=complex)
-        w = np.asarray(self.eigenvalues, dtype=float)
-        sector = np.arange(self.dim) if self.sector is None else np.asarray(self.sector, dtype=np.intp)
-        object.__setattr__(self, "eigenvectors", v)
-        object.__setattr__(self, "eigenvalues", w)
-        object.__setattr__(self, "sector", sector)
-        n = sector.size
-        if not (
-            sector.ndim == 1 and n and 0 <= sector.min() and sector.max() < self.dim
-            and np.unique(sector).size == n
-        ):
-            raise ValueError("sector must hold distinct basis indices below dim")
-        if v.shape != (n, n) or w.shape != (n,):
-            raise ValueError("eigendecomposition shapes do not match the sector")
-        gram = v.conj().T @ v
-        if not np.max(np.abs(gram - np.eye(n))) <= 1e-8:  # NaN fails it
-            raise ValueError("eigenvectors are not orthonormal")
+    blocks: tuple
 
 
 def _components(h: HermitianOperator, states) -> list[np.ndarray]:
@@ -70,43 +50,36 @@ def _components(h: HermitianOperator, states) -> list[np.ndarray]:
 
 
 def make_propagator(h: HermitianOperator, *states: StateVector) -> Propagator:
-    """Propagator on the sector the states reach; the whole space without states.
-
-    Each component is diagonalised on its own, so the eigenvectors are
-    block-diagonal in the sector's order.
-    """
+    """Propagator on the blocks the states reach; the whole space without states."""
     dim = h.dim
     if any(psi.dim != dim for psi in states):
         raise ValueError(f"state dims do not match Hamiltonian dim {dim}")
     blocks = _components(h, states) if states else [np.arange(dim)]
-    parts = [
-        eigensystem(h if b.size == dim else HermitianOperator(b.size, h.matrix[np.ix_(b, b)]))
+    # A block that spans the whole space is H itself, so it is not copied.
+    return Propagator(dim, tuple(
+        (b, *np.linalg.eigh(h.matrix if b.size == dim else h.matrix[np.ix_(b, b)]))
         for b in blocks
-    ]
-    if len(parts) == 1:
-        w, v = parts[0]
-    else:
-        w = np.concatenate([wb for wb, _ in parts])
-        v = np.zeros((w.size, w.size), dtype=complex)
-        lo = 0
-        for _, vb in parts:
-            v[lo:lo + len(vb), lo:lo + len(vb)] = vb
-            lo += len(vb)
-    return Propagator(w, v, dim, np.concatenate(blocks))
+    ))
 
 
 def evolve(p: Propagator, psi0: StateVector, t: float) -> StateVector:
-    """Return exp(-iHt) |psi0> computed in the sector's eigenbasis."""
+    """Return exp(-iHt) |psi0>, computed block by block in H's eigenbasis."""
     if not math.isfinite(t):
         raise ValueError("time must be finite")
     if psi0.dim != p.dim:
         raise ValueError(f"state dim {psi0.dim} does not match propagator dim {p.dim}")
-    inside = psi0.amplitudes[p.sector]
-    if np.count_nonzero(inside) != np.count_nonzero(psi0.amplitudes):
-        raise ValueError("state has weight outside the propagator's sector")
-    # (psi^* V)^* = V^dag psi, without materialising V^dag.
-    coeffs = (inside.conj() @ p.eigenvectors).conj()
-    coeffs *= np.exp(-1j * p.eigenvalues * t)
     amps = np.zeros(p.dim, dtype=complex)
-    amps[p.sector] = p.eigenvectors @ coeffs
+    held = 0
+    for index, w, v in p.blocks:
+        inside = psi0.amplitudes[index]
+        weight = np.count_nonzero(inside)
+        if not weight:
+            continue
+        held += weight
+        # (psi^* V)^* = V^dag psi, without materialising V^dag.
+        coeffs = (inside.conj() @ v).conj()
+        coeffs *= np.exp(-1j * w * t)
+        amps[index] = v @ coeffs
+    if held != np.count_nonzero(psi0.amplitudes):
+        raise ValueError("state has weight outside the propagator's sector")
     return StateVector(psi0.n_sites, amps)

@@ -28,6 +28,15 @@ PXP_PROJECTOR = (np.eye(2, dtype=complex) - PAULI_Z) / 2.0
 # complex128, and diagonalising it holds several matrices of that size.
 MAX_DENSE_SITES = 13
 
+# Shortest chain of each kind: MFIM's longitudinal field skips both edge
+# sites and PXP projects both edges, so each needs a bulk site between them.
+MIN_SITES = {"TFIM": 2, "MFIM": 3, "PXP": 3, "MBL": 2}
+
+
+def _check_length(kind: str, L: int) -> None:
+    if L < MIN_SITES[kind]:
+        raise ValueError(f"{kind} needs L >= {MIN_SITES[kind]}, got {L}")
+
 
 @dataclass(frozen=True)
 class DisorderRealization:
@@ -79,10 +88,9 @@ class ModelSpec:
     disorder: DisorderRealization | None = None
 
     def __post_init__(self):
-        if self.kind not in ("TFIM", "MFIM", "PXP", "MBL"):
+        if self.kind not in MIN_SITES:
             raise ValueError(f"unknown model kind {self.kind!r}")
-        if self.n_sites < 2:
-            raise ValueError("need at least 2 sites")
+        _check_length(self.kind, self.n_sites)
         for k, v in self.couplings.items():
             if not math.isfinite(float(v)):
                 raise ValueError(f"coupling {k} is not finite")
@@ -127,8 +135,7 @@ def _tfim_terms(L: int, J: float, g: float) -> list:
 
 def build_tfim(L: int, J: float = 1.0, g: float = 0.6) -> HermitianOperator:
     """Transverse-field Ising chain: J sum_z z + g sum_x, open boundaries."""
-    if L < 2:
-        raise ValueError("TFIM needs L >= 2")
+    _check_length("TFIM", L)
     return _chain_sum(L, _tfim_terms(L, J, g))
 
 
@@ -139,8 +146,7 @@ def build_mfim(
     h: float = MFIM_H_DEFAULT,
 ) -> HermitianOperator:
     """Mixed-field Ising chain; the longitudinal field skips both edge sites."""
-    if L < 3:
-        raise ValueError("MFIM needs L >= 3")
+    _check_length("MFIM", L)
     fields = [(h, [(i, PAULI_Z)]) for i in range(1, L - 1)]
     return _chain_sum(L, _tfim_terms(L, J, g) + fields)
 
@@ -187,8 +193,7 @@ def build_pxp(L: int) -> HermitianOperator:
     The open boundary is projected: the edge terms are X_0 P_1 and
     P_{L-2} X_{L-1}.
     """
-    if L < 3:
-        raise ValueError("PXP needs L >= 3")
+    _check_length("PXP", L)
     p = PXP_PROJECTOR
     terms = [(1.0, [(i - 1, p), (i, PAULI_X), (i + 1, p)]) for i in range(1, L - 1)]
     terms += [(1.0, [(0, PAULI_X), (1, p)]), (1.0, [(L - 2, p), (L - 1, PAULI_X)])]

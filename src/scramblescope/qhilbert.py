@@ -197,12 +197,6 @@ def purity(rho: DensityOperator) -> float:
     return float(np.sum(np.abs(rho.matrix) ** 2))
 
 
-def eigensystem(h: HermitianOperator):
-    """Eigenvalues (descending) and matching orthonormal eigenvector columns."""
-    w, v = np.linalg.eigh(h.matrix)
-    return w[::-1].copy(), v[:, ::-1].copy()
-
-
 # Amplitudes one sampling chunk holds (4 MiB): 2**18 // 2**n snapshots of n sites.
 _SAMPLE_AMPLITUDES = 2 ** 18
 

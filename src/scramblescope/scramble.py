@@ -84,6 +84,8 @@ class ScrambleScenario:
             raise ValueError(f"subsystem size {self.subsystem_size} out of range")
         if self.subset_policy not in POLICIES:
             raise ValueError(f"unknown subset policy {self.subset_policy!r}")
+        if not self.metrics:
+            raise ValueError("scenario requests no metrics")
         if any(m not in METRIC_NAMES for m in self.metrics):
             raise ValueError(f"unknown metric in {self.metrics}")
         if len(set(self.metrics)) != len(self.metrics):
@@ -197,8 +199,6 @@ def exact_metric_grid(s: ScrambleScenario) -> GridResult:
     contiguous subsystem windows containing x; with all_subsets, a single
     column holds the global maximum over every size-L_A subset.
     """
-    if not s.metrics:
-        raise ValueError("scenario requests no metrics")
     states = _trajectory(build_hamiltonian(s.model), prepare_ensemble(s), s.time_grid)
     subsets = qualifying_subsets(s)
     L = s.model.n_sites

@@ -120,6 +120,10 @@ class TestConfigTypes:
             ("clifford-verify", {"length": 6, "subsystem_size": 3}),
             ("mbl-cage", {"length": 6, "subsystem_size": 4}),
             ("grid", {"tmax": -1.0, "steps": 1}),
+            ("grid", {"model": "pxp", "length": 2}),
+            ("grid", {"model": "mfim", "length": 2}),
+            ("clifford-verify", {"length": 2}),
+            ("grid", {"metrics": []}),
         ],
     )
     def test_bad_count_is_usage_error(self, tmp_path, capsys, command, bad):

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
-from scramblescope.evolve import Propagator, evolve, make_propagator
+from scramblescope.evolve import evolve, make_propagator
 from scramblescope.models import build_mbl, build_mfim, build_pxp, build_tfim, draw_disorder
 from scramblescope.qhilbert import StateVector, basis_state
 
@@ -23,20 +23,17 @@ def random_state(n_sites, rng):
     return StateVector(n_sites, amps / np.linalg.norm(amps))
 
 
+def sector(p):
+    """Basis indices of every block of a propagator, in block order."""
+    return np.concatenate([index for index, _, _ in p.blocks])
+
+
 class TestMakePropagator:
     def test_orthonormal_eigenvectors(self):
         p = make_propagator(build_tfim(4))
-        gram = p.eigenvectors.conj().T @ p.eigenvectors
-        assert np.max(np.abs(gram - np.eye(16))) < 1e-10
-
-    def test_rejects_nonorthonormal(self):
-        with pytest.raises(ValueError):
-            Propagator(np.zeros(2), np.ones((2, 2)), 2)
-
-    @pytest.mark.parametrize("sector", [[1, 1], [0, 4], [-1, 0], []])
-    def test_rejects_bad_sector(self, sector):
-        with pytest.raises(ValueError):
-            Propagator(np.zeros(len(sector)), np.eye(len(sector)), 4, sector)
+        for _, w, v in p.blocks:
+            gram = v.conj().T @ v
+            assert np.max(np.abs(gram - np.eye(w.size))) < 1e-10
 
 
 class TestEvolve:
@@ -106,11 +103,12 @@ class TestSector:
     def test_neel_pair_sectors_at_ten_sites(self, kind, site, sizes):
         h = BUILDERS[kind](10)
         pair = neel_pair(10, site)
-        got = tuple(make_propagator(h, *states).sector.size for states in (pair[:1], pair[1:], pair))
+        got = tuple(sector(make_propagator(h, *states)).size for states in (pair[:1], pair[1:], pair))
         assert got == sizes
 
     def test_without_states_covers_the_whole_space(self):
-        assert np.array_equal(make_propagator(build_tfim(3)).sector, np.arange(8))
+        p = make_propagator(build_tfim(3))
+        assert len(p.blocks) == 1 and np.array_equal(sector(p), np.arange(8))
 
     def test_evolve_refuses_state_outside_sector(self):
         h = BUILDERS["MBL"](4)
@@ -121,6 +119,16 @@ class TestSector:
         with pytest.raises(ValueError, match="outside"):
             evolve(p, outside, 1.0)
         evolve(make_propagator(h), outside, 1.0)
+
+    def test_superposition_across_two_blocks_matches_expm(self):
+        h = BUILDERS["MBL"](6)
+        pair = neel_pair(6, 3)
+        p = make_propagator(h, *pair)
+        assert len(p.blocks) == 2  # the two S^z sectors
+        psi0 = StateVector(6, (pair[0].amplitudes + pair[1].amplitudes) / np.sqrt(2))
+        for t in (0.4, 3.1, 25.0):
+            want = expm(-1j * h.matrix * t) @ psi0.amplitudes
+            assert np.max(np.abs(evolve(p, psi0, t).amplitudes - want)) <= 1e-12
 
     def test_rejects_state_of_other_dim(self):
         with pytest.raises(ValueError):
@@ -134,9 +142,10 @@ def test_sector_is_closed_and_matches_full_space(kind, L, data):
     index = st.integers(0, 2**L - 1)
     pair = [StateVector(L, np.eye(2**L)[data.draw(index)]) for _ in range(2)]
     p = make_propagator(h, *pair)
-    rest = np.setdiff1d(np.arange(2**L), p.sector)
-    assert not np.any(h.matrix[np.ix_(p.sector, rest)])
-    assert not np.any(h.matrix[np.ix_(rest, p.sector)])
+    reached = sector(p)
+    rest = np.setdiff1d(np.arange(2**L), reached)
+    assert not np.any(h.matrix[np.ix_(reached, rest)])
+    assert not np.any(h.matrix[np.ix_(rest, reached)])
     full = make_propagator(h)
     for t in (0.0, 0.9, 17.0):
         for psi in pair:

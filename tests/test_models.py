@@ -19,7 +19,6 @@ from scramblescope.models import (
     draw_disorder,
 )
 from scramblescope.qhilbert import (
-    PAULI_I,
     PAULI_X,
     PAULI_Y,
     PAULI_Z,
@@ -28,25 +27,14 @@ from scramblescope.qhilbert import (
 from oracles import bit_of, kron_embed
 
 
-def embed(ops, L):
-    """Oracle Kronecker embedding, written independently of the package."""
-    mats = [PAULI_I] * L
-    for site, m in ops:
-        mats[site] = m
-    out = np.ones((1, 1), dtype=complex)
-    for m in mats:
-        out = np.kron(out, m)
-    return out
-
-
 class TestTFIM:
     def test_term_by_term_oracle(self):
         L, J, g = 4, 1.0, 0.6
         want = np.zeros((16, 16), dtype=complex)
         for i in range(L - 1):
-            want += J * embed([(i, PAULI_Z), (i + 1, PAULI_Z)], L)
+            want += J * kron_embed([(i, PAULI_Z), (i + 1, PAULI_Z)], L).matrix
         for i in range(L):
-            want += g * embed([(i, PAULI_X)], L)
+            want += g * kron_embed([(i, PAULI_X)], L).matrix
         got = build_tfim(L, J, g).matrix
         assert np.max(np.abs(got - want)) < 1e-14
 
@@ -80,7 +68,7 @@ class TestMFIM:
         diff = build_mfim(L).matrix - build_tfim(L, 1.0, MFIM_G_DEFAULT).matrix
         want = np.zeros_like(diff)
         for i in range(1, L - 1):
-            want += MFIM_H_DEFAULT * embed([(i, PAULI_Z)], L)
+            want += MFIM_H_DEFAULT * kron_embed([(i, PAULI_Z)], L).matrix
         assert np.max(np.abs(diff - want)) < 1e-13
 
     def test_default_couplings_values(self):
@@ -99,11 +87,11 @@ class TestMBL:
         sx, sy, sz = PAULI_X / 2, PAULI_Y / 2, PAULI_Z / 2
         want = np.zeros((16, 16), dtype=complex)
         for i in range(L - 1):
-            want += embed([(i, sx), (i + 1, sx)], L)
-            want += embed([(i, sy), (i + 1, sy)], L)
-            want += embed([(i, sz), (i + 1, sz)], L)
+            want += kron_embed([(i, sx), (i + 1, sx)], L).matrix
+            want += kron_embed([(i, sy), (i + 1, sy)], L).matrix
+            want += kron_embed([(i, sz), (i + 1, sz)], L).matrix
         for i in range(L):
-            want += dis.fields[i] * embed([(i, sz)], L)
+            want += dis.fields[i] * kron_embed([(i, sz)], L).matrix
         got = build_mbl(L, disorder=dis).matrix
         assert np.max(np.abs(got - want)) < 1e-12
 
@@ -153,9 +141,10 @@ class TestPXP:
         L = 5
         want = np.zeros((32, 32), dtype=complex)
         for i in range(1, L - 1):
-            want += embed([(i - 1, PXP_PROJECTOR), (i, PAULI_X), (i + 1, PXP_PROJECTOR)], L)
-        want += embed([(0, PAULI_X), (1, PXP_PROJECTOR)], L)
-        want += embed([(L - 2, PXP_PROJECTOR), (L - 1, PAULI_X)], L)
+            ops = [(i - 1, PXP_PROJECTOR), (i, PAULI_X), (i + 1, PXP_PROJECTOR)]
+            want += kron_embed(ops, L).matrix
+        want += kron_embed([(0, PAULI_X), (1, PXP_PROJECTOR)], L).matrix
+        want += kron_embed([(L - 2, PXP_PROJECTOR), (L - 1, PAULI_X)], L).matrix
         got = build_pxp(L).matrix
         assert np.max(np.abs(got - want)) < 1e-14
 
@@ -215,6 +204,17 @@ class TestModelSpec:
     def test_rejects_unknown_kind(self):
         with pytest.raises(ValueError):
             ModelSpec("XXZ", 4)
+
+    @pytest.mark.parametrize(
+        "kind, builder, short", [("TFIM", build_tfim, 1), ("MFIM", build_mfim, 2), ("PXP", build_pxp, 2)]
+    )
+    def test_spec_and_builder_refuse_the_same_short_chain(self, kind, builder, short):
+        # the spec refuses first, so a CLI run ends in a usage error
+        message = f"{kind} needs L >= {short + 1}"
+        with pytest.raises(ValueError, match=message):
+            ModelSpec(kind, short)
+        with pytest.raises(ValueError, match=message):
+            builder(short)
 
     def test_mbl_requires_matching_disorder(self):
         with pytest.raises(ValueError):

@@ -7,7 +7,6 @@ from scramblescope import qhilbert
 from scramblescope.qhilbert import (
     EIG_ATOL,
     DensityOperator,
-    HermitianOperator,
     PAULI_I,
     PAULI_X,
     PAULI_Y,
@@ -18,7 +17,6 @@ from scramblescope.qhilbert import (
     StateVector,
     apply_local_unitary,
     basis_state,
-    eigensystem,
     partial_trace,
     purity,
 )
@@ -222,16 +220,6 @@ class TestPurity:
         rho = partial_trace(psi, SiteSubset([0, 1]))
         want = float(np.trace(rho.matrix @ rho.matrix).real)
         assert abs(purity(rho) - want) < 1e-13
-
-
-class TestEigensystem:
-    def test_descending_and_reconstructing(self):
-        rng = np.random.default_rng(9)
-        m = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
-        m = m + m.conj().T
-        w, v = eigensystem(HermitianOperator(8, m))
-        assert np.all(np.diff(w) <= 0)
-        assert np.max(np.abs((v * w) @ v.conj().T - m)) < 1e-10
 
 
 def z_outcomes(psi, uniforms):

@@ -60,6 +60,16 @@ class TestScenarioValidation:
             scenario(metrics=("renyi",))
         with pytest.raises(ValueError, match="duplicate"):
             scenario(metrics=("chi2", "chi2"))
+        with pytest.raises(ValueError, match="no metrics"):
+            scenario(metrics=())
+
+    def test_pxp_rejects_inactive_site(self):
+        with pytest.raises(ValueError, match="inactive"):
+            scenario(kind="PXP", L=6, site=3)
+
+    def test_pxp_rejects_polarized(self):
+        with pytest.raises(ValueError, match="Neel"):
+            scenario(kind="PXP", L=6, site=2, initial_kind="polarized")
 
     def test_rejects_decreasing_grid(self):
         with pytest.raises(ValueError):
@@ -97,14 +107,6 @@ class TestPrepareEnsemble:
     def test_states_differ_by_one_flip(self):
         psi1, psi2 = prepare_ensemble(scenario())
         assert abs(np.vdot(psi1.amplitudes, psi2.amplitudes)) < 1e-14
-
-    def test_pxp_rejects_inactive_site(self):
-        with pytest.raises(ValueError):
-            prepare_ensemble(scenario(kind="PXP", L=6, site=3))
-
-    def test_pxp_rejects_polarized(self):
-        with pytest.raises(ValueError):
-            prepare_ensemble(scenario(kind="PXP", L=6, site=2, initial_kind="polarized"))
 
 
 class TestQualifyingSubsets:
@@ -291,7 +293,7 @@ class TestSectorRoute:
         s = scenario(kind=kind, L=10, size=2, subset_policy="all_subsets")
         h, pair = build_hamiltonian(s.model), prepare_ensemble(s)
         sector, full = make_propagator(h, *pair), make_propagator(h)
-        assert sector.sector.size < h.dim
+        assert sum(index.size for index, _, _ in sector.blocks) < h.dim
 
         def metrics(p, t, subset):
             rho1, rho2 = (partial_trace(evolve(p, psi, t), subset) for psi in pair)
