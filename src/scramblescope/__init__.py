@@ -8,7 +8,6 @@ from .qhilbert import (  # noqa: F401
     SiteSubset,
     Spectrum,
     StateVector,
-    apply_local_unitary,
     basis_state,
     partial_trace,
     purity,

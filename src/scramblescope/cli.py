@@ -345,9 +345,7 @@ def run_identity_suites(seed: int, n_spectra: int, n_triples: int, n_haar: int) 
                 - q2_purity(mix)
             )
             worst_gap = max(worst_gap, gap)
-            min_chi2 = min(
-                min_chi2, chi2(Ensemble([(0.5, rho0), (0.5, rho1)]))
-            )
+            min_chi2 = min(min_chi2, chi2(Ensemble(rho0, rho1)))
     suites["q2_concavity"] = {
         "max_violation": worst_gap,
         "min_chi2": min_chi2,

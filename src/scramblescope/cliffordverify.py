@@ -13,7 +13,7 @@ from functools import cache
 
 import numpy as np
 
-from .infotheory import basis_moments, chi2_from_purities
+from .infotheory import Ensemble, basis_moments, chi2_from_purities
 from .models import build_hamiltonian
 from .qhilbert import DensityOperator, HADAMARD, PAULI_I, PHASE_S, SiteSubset, partial_trace
 from .scramble import ScrambleScenario, _trajectory, exact_chi2_pair, prepare_ensemble
@@ -54,9 +54,12 @@ def enumerate_c1() -> list[np.ndarray]:
 
 
 @cache
-def _c2_tables() -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """C1 and the 20 class cores of C2 (Corcoles et al., PRA 87, 030301 (2013)):
-    the identity; CNOT, then iSWAP, after each of the 9 products {I, R, R^2} x
+def _c2_table() -> np.ndarray:
+    """All of C2 as a read-only (11520, 4, 4) stack: row 576*core + pair is the
+    local pair C1[pair // 24] x C1[pair % 24] after class core `core`.
+
+    The 20 class cores (Corcoles et al., PRA 87, 030301 (2013)) are the
+    identity; CNOT, then iSWAP, after each of the 9 products {I, R, R^2} x
     {I, R, R^2}, where R = H S has order 3 up to phase; and SWAP.
     """
     r = HADAMARD @ PHASE_S
@@ -66,19 +69,20 @@ def _c2_tables() -> tuple[list[np.ndarray], list[np.ndarray]]:
     iswap = np.array([[1, 0, 0, 0], [0, 0, 1j, 0], [0, 1j, 0, 0], [0, 0, 0, 1]])
     swap = np.eye(4)[[0, 2, 1, 3]]
     cores = [np.eye(4, dtype=complex)] + [g @ m for g in (cnot, iswap) for m in mixers] + [swap]
-    return enumerate_c1(), cores
+    c1 = enumerate_c1()
+    pairs = np.array([np.kron(a, b) for a in c1 for b in c1])
+    table = (pairs[None] @ np.array(cores)[:, None]).reshape(11520, 4, 4)
+    table.flags.writeable = False
+    return table
 
 
 def random_clifford_circuit(rng: np.random.Generator) -> np.ndarray:
-    """One uniform draw from C2, the 11,520 two-qubit Cliffords up to phase.
+    """One uniform draw from C2, the 11,520 two-qubit Cliffords up to phase:
+    local Cliffords around a CNOT, iSWAP or SWAP core (see _c2_table).
 
-    Draw i is the local pair C1[pair // 24] x C1[pair % 24] after class core
-    `core`, for core, pair = divmod(i, 576): local Cliffords around a CNOT,
-    iSWAP or SWAP core.
+    The draw is a read-only row of the cached table.
     """
-    c1, cores = _c2_tables()
-    core, pair = divmod(int(rng.integers(11520)), 576)
-    return np.kron(c1[pair // 24], c1[pair % 24]) @ cores[core]
+    return _c2_table()[int(rng.integers(11520))]
 
 
 def purity_from_basis_sampling(rho_A: DensityOperator, unitaries) -> float:
@@ -89,7 +93,7 @@ def purity_from_basis_sampling(rho_A: DensityOperator, unitaries) -> float:
     (Tr rho^2 + 1)/(d + 1) for any 2-design, so purity = (d+1) avg - 1.
     """
     d = rho_A.dim
-    stack = np.asarray(list(unitaries), dtype=complex)
+    stack = np.asarray(unitaries, dtype=complex)
     if stack.size == 0:
         raise ValueError("need at least one unitary")
     if stack.shape[1:] != (d, d):
@@ -131,12 +135,12 @@ def clifford_convergence_experiment(
     subset = _scenario_subsystem(s)
     d = 2 ** len(subset)
     states = _trajectory(build_hamiltonian(s.model), prepare_ensemble(s), s.time_grid)
-    c1 = enumerate_c1() if s.subsystem_size == 1 else None
+    c1 = np.array(enumerate_c1()) if s.subsystem_size == 1 else None
     rows = []
     for ti, (t, (psi1, psi2)) in enumerate(zip(s.time_grid, states)):
         rho1 = partial_trace(psi1, subset)
         rho2 = partial_trace(psi2, subset)
-        mix = DensityOperator(d, (rho1.matrix + rho2.matrix) / 2.0)
+        mix = Ensemble(rho1, rho2).average
         exact = max(exact_chi2_pair(rho1, rho2), 0.0)
         for n_samples in sample_counts:
             for trial in range(n_trials):
@@ -144,10 +148,9 @@ def clifford_convergence_experiment(
                     s.master_seed, f"clifford:t={ti}:N={n_samples}", trial
                 )
                 if s.subsystem_size == 1:
-                    idx = rng.integers(0, 24, size=n_samples)
-                    unitaries = [c1[i] for i in idx]
+                    unitaries = c1[rng.integers(0, 24, size=n_samples)]
                 else:
-                    unitaries = [random_clifford_circuit(rng) for _ in range(n_samples)]
+                    unitaries = np.array([random_clifford_circuit(rng) for _ in range(n_samples)])
                 p1 = purity_from_basis_sampling(rho1, unitaries)
                 p2 = purity_from_basis_sampling(rho2, unitaries)
                 pm = purity_from_basis_sampling(mix, unitaries)
@@ -166,13 +169,12 @@ def clifford_convergence_experiment(
 
 def summarize_convergence(rows) -> list[dict]:
     """Aggregate the experiment table into per-(t, N) mean and std."""
-    keys = sorted({(r["t"], r["L_A"], r["N"]) for r in rows})
+    groups = {}
+    for r in rows:
+        groups.setdefault((r["t"], r["L_A"], r["N"]), []).append(r)
     out = []
-    for t, la, n in keys:
-        vals = [r["chi2_est"] for r in rows if (r["t"], r["L_A"], r["N"]) == (t, la, n)]
-        exact = next(
-            r["chi2_exact"] for r in rows if (r["t"], r["L_A"], r["N"]) == (t, la, n)
-        )
+    for (t, la, n), group in sorted(groups.items()):
+        vals = [r["chi2_est"] for r in group]
         out.append(
             {
                 "t": t,
@@ -180,7 +182,7 @@ def summarize_convergence(rows) -> list[dict]:
                 "N": n,
                 "chi2_mean": float(np.mean(vals)),
                 "chi2_std": float(np.std(vals, ddof=1)) if len(vals) > 1 else 0.0,
-                "chi2_exact": exact,
+                "chi2_exact": group[0]["chi2_exact"],
             }
         )
     return out

@@ -1,4 +1,4 @@
-"""Entropy-like information metrics on density-operator ensembles.
+"""Entropy-like information metrics on equal-weight pairs of density operators.
 
 Everything is reported in nats. The Q2 measure ln(2 / (1 + Tr rho^2)) is
 implemented three ways (purity, spectral expansion, contour quadrature);
@@ -12,7 +12,7 @@ eigenvalues need no special case.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -31,33 +31,22 @@ _SUB_W[[0, -1]] /= 2.0
 
 @dataclass(frozen=True)
 class Ensemble:
-    """Weighted collection of density operators on a common space."""
+    """Equal-weight pair of density operators on a common space."""
 
-    members: tuple
+    first: DensityOperator
+    second: DensityOperator
+    average: DensityOperator = field(init=False, repr=False, compare=False)
 
-    def __init__(self, members):
-        mem = tuple((float(p), rho) for p, rho in members)
-        if not mem:
-            raise ValueError("ensemble must be nonempty")
-        if not all(p >= -1e-12 for p, _ in mem):  # NaN fails it
-            raise ValueError("probabilities must be non-negative")
-        total = sum(p for p, _ in mem)
-        if not abs(total - 1.0) <= 1e-10:
-            raise ValueError(f"probabilities sum to {total}, expected 1")
-        dims = {rho.dim for _, rho in mem}
-        if len(dims) != 1:
-            raise ValueError("all ensemble members must share one dimension")
-        object.__setattr__(self, "members", mem)
-        avg = sum(p * rho.matrix for p, rho in mem)
-        object.__setattr__(self, "_average", DensityOperator(dims.pop(), avg))
-
-    def average(self) -> DensityOperator:
-        return self._average
+    def __post_init__(self):
+        if self.first.dim != self.second.dim:
+            raise ValueError("both ensemble members must share one dimension")
+        avg = 0.5 * self.first.matrix + 0.5 * self.second.matrix
+        object.__setattr__(self, "average", DensityOperator(self.first.dim, avg))
 
 
 def _mixing_gain(e: Ensemble, f) -> float:
-    """f of the average state minus the average of f over the members."""
-    return f(e.average()) - sum(p * f(rho) for p, rho in e.members)
+    """f of the average state minus the average of f over the two members."""
+    return f(e.average) - (0.5 * f(e.first) + 0.5 * f(e.second))
 
 
 def von_neumann(rho: DensityOperator) -> float:

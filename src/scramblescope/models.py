@@ -8,7 +8,6 @@ chain projects flips onto blockade-respecting neighbors.
 from __future__ import annotations
 
 import functools
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -54,15 +53,14 @@ class DisorderRealization:
         if not np.all(np.abs(f) <= self.width + 1e-12):  # NaN fails it
             raise ValueError("disorder field outside [-W, W]")
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "fields": [float(x) for x in self.fields],
-                "seed": int(self.seed),
-                "generator_id": "pcg64",
-                "W": float(self.width),
-            }
-        )
+    def echo(self) -> dict:
+        """Plain-JSON record for result manifests."""
+        return {
+            "fields": [float(x) for x in self.fields],
+            "seed": int(self.seed),
+            "generator_id": "pcg64",
+            "W": float(self.width),
+        }
 
 
 def draw_disorder(

@@ -165,20 +165,6 @@ class Spectrum:
         object.__setattr__(self, "values", np.clip(v, 0.0, None))
 
 
-def apply_local_unitary(state: StateVector, site: int, u) -> StateVector:
-    """Apply a single-site unitary, leaving all other sites untouched."""
-    u = _as_complex_array(u)
-    if u.shape != (2, 2):
-        raise ValueError("local unitary must be 2x2")
-    if not np.max(np.abs(u @ u.conj().T - PAULI_I)) <= NORM_ATOL:
-        raise ValueError("matrix is not unitary")
-    n = state.n_sites
-    if site < 0 or site >= n:
-        raise ValueError(f"site {site} out of range")
-    shaped = state.amplitudes.reshape(2 ** site, 2, 2 ** (n - site - 1))
-    return StateVector(n, np.einsum("ab,ibj->iaj", u, shaped).reshape(-1))
-
-
 def partial_trace(state: StateVector, keep: SiteSubset) -> DensityOperator:
     """Reduced density matrix of a pure state on the kept sites."""
     keep.validate_for(state.n_sites)
@@ -196,28 +182,3 @@ def purity(rho: DensityOperator) -> float:
     """Tr(rho^2) via the squared Frobenius norm (Hermitian shortcut)."""
     return float(np.sum(np.abs(rho.matrix) ** 2))
 
-
-# Amplitudes one sampling chunk holds (4 MiB): 2**18 // 2**n snapshots of n sites.
-_SAMPLE_AMPLITUDES = 2 ** 18
-
-
-def _born_outcomes(state: StateVector, rotations, bases, uniforms) -> np.ndarray:
-    """Measure sites one after another; one row of (M, n) bits per uniform.
-
-    Row i rotates site s by rotations[bases[i, s]] and keeps the half its
-    target (uniform times total weight) falls in, less the weights it passes,
-    never a zero-weight half: the CDF-inversion index, with no division.
-    """
-    out = np.empty((len(uniforms), state.n_sites), dtype=np.uint8)
-    step = max(1, _SAMPLE_AMPLITUDES >> state.n_sites)
-    cuts = range(step, len(uniforms), step)
-    targets = uniforms * np.sum(np.abs(state.amplitudes) ** 2)
-    for b, target, o in zip(np.split(bases, cuts), np.split(targets, cuts), np.split(out, cuts)):
-        amps = np.broadcast_to(state.amplitudes, (len(b), state.dim))
-        for site in range(state.n_sites):
-            halves = rotations[b[:, site]] @ amps.reshape(len(b), 2, -1)
-            w = np.sum(np.abs(halves) ** 2, axis=2)
-            o[:, site] = bit = (target >= w[:, 0]) & (w[:, 1] > 0)
-            target = np.where(bit, target - w[:, 0], target)
-            amps = halves[np.arange(len(b)), bit.astype(np.intp)]
-    return out

@@ -9,7 +9,6 @@ tracking experiments.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from dataclasses import dataclass, replace
 
@@ -21,10 +20,8 @@ from .infotheory import Ensemble, chi2_from_purities, chi_q, holevo_chi
 from .models import ModelSpec, build_hamiltonian
 from .qhilbert import (
     DensityOperator,
-    PAULI_X,
     SiteSubset,
     StateVector,
-    apply_local_unitary,
     basis_state,
     partial_trace,
     purity,
@@ -119,7 +116,7 @@ class ScrambleScenario:
             "version": _version,
         }
         if self.model.disorder is not None:
-            d["disorder"] = json.loads(self.model.disorder.to_json())
+            d["disorder"] = self.model.disorder.echo()
         return d
 
 
@@ -146,8 +143,9 @@ def prepare_ensemble(s: ScrambleScenario) -> tuple[StateVector, StateVector]:
 
 def _flip_pair(bits, site: int) -> tuple[StateVector, StateVector]:
     """Basis product state and its flip at one site."""
-    psi = basis_state(len(bits), bits)
-    return psi, apply_local_unitary(psi, site, PAULI_X)
+    flipped = list(bits)
+    flipped[site] ^= 1
+    return basis_state(len(bits), bits), basis_state(len(bits), flipped)
 
 
 def _trajectory(h, pair, time_grid):
@@ -184,7 +182,7 @@ def _subset_metrics(pair, subset: SiteSubset, metrics) -> dict:
     if "chi2" in metrics:
         out["chi2"] = exact_chi2_pair(rho1, rho2)
     if "holevo" in metrics or "chi_q" in metrics:
-        ens = Ensemble([(0.5, rho1), (0.5, rho2)])
+        ens = Ensemble(rho1, rho2)
         if "holevo" in metrics:
             out["holevo"] = holevo_chi(ens)
         if "chi_q" in metrics:

@@ -1,9 +1,9 @@
 """Simulated classical-shadow pipeline with single-qubit Pauli measurements.
 
 A snapshot stores, per site, which Pauli basis was measured (X/Y/Z) and the
-outcome bit. Subsystem purities and cross-state overlaps are estimated from
-the three-valued lookup kernel {5, -4, 1/2} between snapshot pairs, robustly
-aggregated by median-of-means.
+outcome bit, packed into one code basis*2 + bit. Subsystem purities and
+cross-state overlaps are estimated from the three-valued lookup kernel
+{5, -4, 1/2} between snapshot pairs, robustly aggregated by median-of-means.
 """
 
 from __future__ import annotations
@@ -14,24 +14,18 @@ from typing import Sequence
 import numpy as np
 
 from .infotheory import chi2_from_purities
-from .qhilbert import (
-    HADAMARD,
-    PAULI_I,
-    PHASE_S,
-    SiteSubset,
-    StateVector,
-    _born_outcomes,
-)
+from .qhilbert import HADAMARD, PAULI_I, PHASE_S, SiteSubset, StateVector
 
 BASIS_X, BASIS_Y, BASIS_Z = 0, 1, 2
 
-# Largest shadow array budget, in bytes. A shadow-curve time point peaks at
-# 8 bytes per snapshot and site while it estimates: both states' uint8 bases
-# and outcomes, and their packed uint8 codes (tracemalloc: 7.6 at 1,600,000
-# TFIM L=6 shots over two time points, 6.3 of it growing with the shots;
-# bases are drawn in int64 chunks of _DRAW_CHUNK). A batch of B snapshots
-# holds one float64 B x B kernel matrix per measured site, and up to five
-# more for the running product and its indices.
+# Largest shadow array budget, in bytes. A shadow-curve time point peaks while
+# it samples the second state: the first state's uint8 codes, the second's
+# uint8 bases and outcomes, and one float64 uniform and one float64 target per
+# snapshot. Budgeted at 8 bytes per snapshot and site plus 16 per snapshot;
+# tracemalloc over two TFIM time points saw 35.6 bytes per snapshot at L=6
+# (400,000 to 1,600,000 shots) and 25.1 at L=2 (200,000 to 800,000). A batch
+# of B snapshots holds one float64 B x B kernel matrix per measured site, and
+# up to five more for the running product and its indices.
 MAX_SHADOW_BYTES = 2 ** 31
 
 # int64 basis draws per chunk of sample_shadow_set (512 KiB).
@@ -44,6 +38,32 @@ _BASIS_ROTATIONS = np.array([
     HADAMARD @ PHASE_S.conj().T,    # Y
     PAULI_I,                        # Z
 ])
+
+# Amplitudes one sampling chunk holds (4 MiB): 2**18 // 2**n snapshots of n sites.
+_SAMPLE_AMPLITUDES = 2 ** 18
+
+
+def _born_outcomes(state: StateVector, bases, uniforms) -> np.ndarray:
+    """Measure sites one after another; one row of (M, n) bits per uniform.
+
+    Row i rotates site s by _BASIS_ROTATIONS[bases[i, s]] and keeps the half
+    its target (uniform times total weight) falls in, less the weights it
+    passes, never a zero-weight half: the CDF-inversion index, with no division.
+    """
+    out = np.empty((len(uniforms), state.n_sites), dtype=np.uint8)
+    step = max(1, _SAMPLE_AMPLITUDES >> state.n_sites)
+    cuts = range(step, len(uniforms), step)
+    targets = uniforms * np.sum(np.abs(state.amplitudes) ** 2)
+    for b, target, o in zip(np.split(bases, cuts), np.split(targets, cuts), np.split(out, cuts)):
+        amps = np.broadcast_to(state.amplitudes, (len(b), state.dim))
+        for site in range(state.n_sites):
+            halves = _BASIS_ROTATIONS[b[:, site]] @ amps.reshape(len(b), 2, -1)
+            w = np.sum(np.abs(halves) ** 2, axis=2)
+            o[:, site] = bit = (target >= w[:, 0]) & (w[:, 1] > 0)
+            target = np.where(bit, target - w[:, 0], target)
+            amps = halves[np.arange(len(b)), bit.astype(np.intp)]
+    return out
+
 
 def kernel_value(basis1: int, bit1: int, basis2: int, bit2: int) -> float:
     """Trace inner product of two single-site snapshot factors."""
@@ -69,29 +89,24 @@ _KERNEL_TABLE = np.array(
 
 @dataclass(frozen=True)
 class ShadowSet:
-    """Ordered collection of snapshots from one source state."""
+    """Ordered snapshots from one source state: an (M, n_sites) uint8 array
+    of per-site codes basis*2 + bit."""
 
-    bases: np.ndarray
-    outcomes: np.ndarray
-    n_sites: int
+    codes: np.ndarray
 
     def __post_init__(self):
         # Checked before the uint8 cast, which wraps.
-        b, o = np.asarray(self.bases), np.asarray(self.outcomes)
-        if np.any((b < 0) | (b > 2)) or np.any((o < 0) | (o > 1)):
-            raise ValueError("basis codes must be in {0,1,2}, outcomes in {0,1}")
-        b, o = b.astype(np.uint8, copy=False), o.astype(np.uint8, copy=False)
-        object.__setattr__(self, "bases", b)
-        object.__setattr__(self, "outcomes", o)
-        if b.ndim != 2 or b.shape != o.shape or b.shape[1] != self.n_sites:
-            raise ValueError("snapshot arrays must be (M, n_sites) and congruent")
+        c = np.asarray(self.codes)
+        if c.ndim != 2 or np.any((c < 0) | (c > 5)):
+            raise ValueError("snapshot codes must be an (M, n_sites) array with values 0..5")
+        object.__setattr__(self, "codes", c.astype(np.uint8, copy=False))
+
+    @property
+    def n_sites(self) -> int:
+        return self.codes.shape[1]
 
     def __len__(self) -> int:
-        return self.bases.shape[0]
-
-    def codes(self) -> np.ndarray:
-        """Packed per-site records basis*2 + bit, uint8 of shape (M, n_sites)."""
-        return self.bases * 2 + self.outcomes
+        return self.codes.shape[0]
 
 
 @dataclass(frozen=True)
@@ -118,13 +133,16 @@ def sample_shadow_set(state: StateVector, n_snapshots: int, rng: np.random.Gener
     step = max(1, _DRAW_CHUNK // n)
     for rows in np.split(bases, range(step, n_snapshots, step)):
         rows[...] = rng.integers(0, 3, size=rows.shape)
-    outcomes = _born_outcomes(state, _BASIS_ROTATIONS, bases, rng.random(n_snapshots))
-    return ShadowSet(bases, outcomes, n)
+    outcomes = _born_outcomes(state, bases, rng.random(n_snapshots))
+    # Packed in place: the bases become the codes basis*2 + bit.
+    bases *= 2
+    bases += outcomes
+    return ShadowSet(bases)
 
 
 def check_shadow_memory(n_sites: int, n_snapshots: int, mom: MoMConfig, kernel_sites: int) -> None:
     """Refuse a shadow budget whose arrays would exceed MAX_SHADOW_BYTES."""
-    codes = 8 * n_snapshots * n_sites
+    codes = n_snapshots * (8 * n_sites + 16)
     kernels = 8 * mom.batch_size ** 2 * (kernel_sites + 5)
     if max(codes, kernels) > MAX_SHADOW_BYTES:
         raise ValueError(
@@ -199,7 +217,7 @@ def chi2_estimate_many(
             f"{mom.n_batches} batches of {mom.batch_size} exceed the "
             f"{len(shadows1)} and {len(shadows2)} available snapshots"
         )
-    c1, c2 = shadows1.codes(), shadows2.codes()
+    c1, c2 = shadows1.codes, shadows2.codes
     p1 = _kernel_medians(c1, c1, subsets, mom, same_set=True).tolist()
     p2 = _kernel_medians(c2, c2, subsets, mom, same_set=True).tolist()
     ov = _kernel_medians(c1, c2, subsets, mom, same_set=False).tolist()

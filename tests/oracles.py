@@ -8,12 +8,14 @@ against it; only public `scramblescope` names are imported.
 import numpy as np
 
 from scramblescope.qhilbert import (
+    NORM_ATOL,
     PAULI_I,
     PAULI_X,
     PAULI_Y,
     PAULI_Z,
     HermitianOperator,
     SiteSubset,
+    StateVector,
 )
 from scramblescope.shadows import kernel_value
 
@@ -53,6 +55,20 @@ def kron_embed(local_ops, n_sites: int) -> HermitianOperator:
     return HermitianOperator(2 ** n_sites, full)
 
 
+def apply_local_unitary(state: StateVector, site: int, u) -> StateVector:
+    """Apply a single-site unitary, leaving all other sites untouched."""
+    u = np.asarray(u, dtype=complex)
+    if u.shape != (2, 2):
+        raise ValueError("local unitary must be 2x2")
+    if not np.max(np.abs(u @ u.conj().T - PAULI_I)) <= NORM_ATOL:
+        raise ValueError("matrix is not unitary")
+    n = state.n_sites
+    if site < 0 or site >= n:
+        raise ValueError(f"site {site} out of range")
+    shaped = state.amplitudes.reshape(2 ** site, 2, 2 ** (n - site - 1))
+    return StateVector(n, np.einsum("ab,ibj->iaj", u, shaped).reshape(-1))
+
+
 def dense_snapshot(bases, outcomes) -> np.ndarray:
     """Full tensor-product snapshot matrix (exponential size).
 
@@ -74,10 +90,7 @@ def pair_kernel(x, i: int, y, j: int, subset: SiteSubset) -> float:
     subset.validate_for(x.n_sites)
     value = 1.0
     for site in subset:
-        value *= kernel_value(
-            int(x.bases[i, site]), int(x.outcomes[i, site]),
-            int(y.bases[j, site]), int(y.outcomes[j, site]),
-        )
+        value *= kernel_value(*divmod(int(x.codes[i, site]), 2), *divmod(int(y.codes[j, site]), 2))
     return value
 
 

@@ -92,7 +92,7 @@ def test_criterion_2_concavity_suite():
             mix = DensityOperator(d, lam * a.matrix + (1 - lam) * b.matrix)
             gap = lam * q2_purity(a) + (1 - lam) * q2_purity(b) - q2_purity(mix)
             worst_gap = max(worst_gap, gap)
-            min_chi2 = min(min_chi2, chi2(Ensemble([(0.5, a), (0.5, b)])))
+            min_chi2 = min(min_chi2, chi2(Ensemble(a, b)))
     elapsed = time.time() - start
     ok = worst_gap < 1e-12 and min_chi2 >= -1e-10 and elapsed < 10.0
     verdict(

@@ -75,14 +75,25 @@ class StubRng:
 
 class TestRandomClifford:
     def test_one_draw_decodes_core_and_local_pair(self):
-        rng = StubRng([0, 11519])
+        rng = StubRng([0, 11519, 576 + 24 * 5 + 7])
         assert np.max(np.abs(random_clifford_circuit(rng) - np.eye(4))) < 1e-12
         assert rng.highs == [11520]
         c1 = enumerate_c1()
         swap = np.eye(4)[[0, 2, 1, 3]]
         want = np.kron(c1[23], c1[23]) @ swap
         assert np.max(np.abs(random_clifford_circuit(rng) - want)) < 1e-12
-        assert rng.highs == [11520, 11520] and not rng.draws
+        # core 1 is CNOT after the identity mixer; pair 5 * 24 + 7 is C1[5] x C1[7]
+        cnot = np.eye(4)[[0, 1, 3, 2]]
+        want = np.kron(c1[5], c1[7]) @ cnot
+        assert np.max(np.abs(random_clifford_circuit(rng) - want)) < 1e-12
+        assert rng.highs == [11520] * 3 and not rng.draws
+
+    def test_draw_is_read_only(self):
+        # every draw is a view of one cached table, which a caller must not edit
+        u = random_clifford_circuit(np.random.default_rng(0))
+        with pytest.raises(ValueError):
+            u[0, 0] = 2.0
+        assert not random_clifford_circuit(np.random.default_rng(1)).flags.writeable
 
 
 class TestPurityInversion:

@@ -76,20 +76,12 @@ def subentropy_extrapolation_oracle(vals, eps):
 
 class TestEnsemble:
     def test_average(self):
-        e = Ensemble([(0.5, pure_density([1, 0])), (0.5, pure_density([0, 1]))])
-        assert np.allclose(e.average().matrix, np.eye(2) / 2)
-
-    def test_rejects_bad_probabilities(self):
-        with pytest.raises(ValueError):
-            Ensemble([(0.7, pure_density([1, 0])), (0.7, pure_density([0, 1]))])
+        e = Ensemble(pure_density([1, 0]), pure_density([0, 1]))
+        assert np.allclose(e.average.matrix, np.eye(2) / 2)
 
     def test_rejects_mixed_dims(self):
         with pytest.raises(ValueError):
-            Ensemble([(0.5, pure_density([1, 0])), (0.5, pure_density([0, 0, 1]))])
-
-    def test_rejects_empty(self):
-        with pytest.raises(ValueError):
-            Ensemble([])
+            Ensemble(pure_density([1, 0]), pure_density([0, 0, 1]))
 
 
 class TestVonNeumann:
@@ -110,12 +102,12 @@ class TestVonNeumann:
 
 class TestHolevo:
     def test_orthogonal_pure_pair(self):
-        e = Ensemble([(0.5, pure_density([1, 0])), (0.5, pure_density([0, 1]))])
+        e = Ensemble(pure_density([1, 0]), pure_density([0, 1]))
         assert abs(holevo_chi(e) - math.log(2)) < 1e-12
 
     def test_identical_members_zero(self):
         rho = random_density(4, np.random.default_rng(1))
-        e = Ensemble([(0.5, rho), (0.5, rho)])
+        e = Ensemble(rho, rho)
         assert abs(holevo_chi(e)) < 1e-10
 
 
@@ -172,12 +164,12 @@ class TestSubentropy:
 
 class TestChiQ:
     def test_orthogonal_pure_pair(self):
-        e = Ensemble([(0.5, pure_density([1, 0])), (0.5, pure_density([0, 1]))])
+        e = Ensemble(pure_density([1, 0]), pure_density([0, 1]))
         assert abs(chi_q(e) - (math.log(2) - 0.5)) < 1e-12
 
     def test_identical_members_zero(self):
         rho = random_density(3, np.random.default_rng(3))
-        e = Ensemble([(0.5, rho), (0.5, rho)])
+        e = Ensemble(rho, rho)
         assert abs(chi_q(e)) < 1e-9
 
 
@@ -273,14 +265,14 @@ class TestQ2:
 
 class TestChi2:
     def test_orthogonal_pure_pair_anchor(self):
-        e = Ensemble([(0.5, pure_density([1, 0])), (0.5, pure_density([0, 1]))])
+        e = Ensemble(pure_density([1, 0]), pure_density([0, 1]))
         assert abs(chi2(e) - math.log(4 / 3)) < 1e-12
 
     def test_nonnegative_random(self):
         rng = np.random.default_rng(7)
         for _ in range(300):
             d = int(rng.integers(2, 9))
-            e = Ensemble([(0.5, random_density(d, rng)), (0.5, random_density(d, rng))])
+            e = Ensemble(random_density(d, rng), random_density(d, rng))
             assert chi2(e) >= -1e-10
 
     def test_concavity_of_q2(self):
@@ -301,7 +293,7 @@ class TestChi2FromPurities:
             a, b = random_density(d, rng), random_density(d, rng)
             mix = DensityOperator(d, (a.matrix + b.matrix) / 2)
             pa, pb, pm = (float(np.sum(np.abs(r.matrix) ** 2)) for r in (a, b, mix))
-            want = chi2(Ensemble([(0.5, a), (0.5, b)]))
+            want = chi2(Ensemble(a, b))
             assert abs(chi2_from_purities(pa, pb, pm, d) - want) < 1e-12
 
     def test_clamps_to_physical_range(self):

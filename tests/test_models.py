@@ -107,8 +107,8 @@ class TestMBL:
 
     def test_disorder_json_roundtrip(self):
         dis = draw_disorder(5, W=8.0, seed=42)
-        record = json.loads(dis.to_json())
-        assert record == {
+        record = dis.echo()
+        assert json.loads(json.dumps(record)) == record == {
             "fields": dis.fields.tolist(), "seed": 42, "generator_id": "pcg64", "W": 8.0,
         }
 

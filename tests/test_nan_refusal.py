@@ -4,27 +4,21 @@ import numpy as np
 import pytest
 
 from scramblescope.evolve import make_propagator
-from scramblescope.infotheory import Ensemble
 from scramblescope.models import DisorderRealization, ModelSpec, draw_disorder
 from scramblescope.qhilbert import (
     DensityOperator,
     HermitianOperator,
     StateVector,
-    apply_local_unitary,
-    basis_state,
 )
 from scramblescope.scramble import ScrambleScenario
 
 NAN = float("nan")
-RHO = DensityOperator(2, np.eye(2) / 2)
 
 CASES = {
     "state": lambda: StateVector(1, [NAN, 0.0]),
     "hermitian": lambda: HermitianOperator(2, [[1.0, NAN], [NAN, 1.0]]),
     "density": lambda: DensityOperator(2, [[0.5, NAN], [NAN, 0.5]]),
-    "local_unitary": lambda: apply_local_unitary(basis_state(1, [0]), 0, [[NAN, 0.0], [0.0, 1.0]]),
     "make_propagator": lambda: make_propagator(HermitianOperator(2, np.diag([NAN, 1.0]))),
-    "ensemble_weight": lambda: Ensemble([(NAN, RHO), (0.5, RHO)]),
     "disorder_fields": lambda: DisorderRealization(np.array([NAN, 0.5]), 0, 8.0),
     "disorder_width": lambda: draw_disorder(4, W=NAN),
     "time_grid": lambda: ScrambleScenario(

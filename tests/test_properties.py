@@ -69,7 +69,7 @@ def test_q2_concave_and_chi2_nonnegative(seed, log2d, lam):
 
     mix = DensityOperator(d, mix_m)
     assert lam * q2_purity(a) + (1 - lam) * q2_purity(b) - q2_purity(mix) < 1e-12
-    assert chi2(Ensemble([(0.5, a), (0.5, b)])) >= -1e-10
+    assert chi2(Ensemble(a, b)) >= -1e-10
 
 
 @given(seeds())

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from scramblescope import qhilbert
+from scramblescope import shadows
 from scramblescope.qhilbert import (
     EIG_ATOL,
     DensityOperator,
@@ -15,13 +15,12 @@ from scramblescope.qhilbert import (
     SiteSubset,
     Spectrum,
     StateVector,
-    apply_local_unitary,
     basis_state,
     partial_trace,
     purity,
 )
 
-from oracles import bit_of, complement, kron_embed
+from oracles import apply_local_unitary, bit_of, complement, kron_embed
 
 
 def random_state(n_sites, rng):
@@ -224,8 +223,8 @@ class TestPurity:
 
 def z_outcomes(psi, uniforms):
     """Computational-basis outcomes of the Born sampler, one row per uniform."""
-    bases = np.zeros((len(uniforms), psi.n_sites), dtype=np.uint8)
-    return qhilbert._born_outcomes(psi, PAULI_I[None], bases, uniforms)
+    bases = np.full((len(uniforms), psi.n_sites), shadows.BASIS_Z, dtype=np.uint8)
+    return shadows._born_outcomes(psi, bases, uniforms)
 
 
 class TestBornSample:

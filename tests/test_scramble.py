@@ -15,7 +15,7 @@ from scramblescope.models import (
     build_mbl,
     draw_disorder,
 )
-from scramblescope.qhilbert import SiteSubset, basis_state, partial_trace
+from scramblescope.qhilbert import PAULI_X, SiteSubset, basis_state, partial_trace
 from scramblescope.scramble import (
     ScrambleScenario,
     default_perturbation_site,
@@ -26,6 +26,8 @@ from scramblescope.scramble import (
     qualifying_subsets,
     shadow_metric_curve,
 )
+
+from oracles import apply_local_unitary
 
 LN_4_3 = math.log(4.0 / 3.0)
 
@@ -107,6 +109,14 @@ class TestPrepareEnsemble:
     def test_states_differ_by_one_flip(self):
         psi1, psi2 = prepare_ensemble(scenario())
         assert abs(np.vdot(psi1.amplitudes, psi2.amplitudes)) < 1e-14
+
+    def test_flip_is_pauli_x_on_the_site(self):
+        bits = [0, 1, 1, 0, 1]
+        for site in range(len(bits)):
+            psi, flipped = scramble._flip_pair(bits, site)
+            want = apply_local_unitary(psi, site, PAULI_X).amplitudes
+            assert np.array_equal(flipped.amplitudes, want)
+            assert np.array_equal(psi.amplitudes, basis_state(5, bits).amplitudes)
 
 
 class TestQualifyingSubsets:
@@ -193,7 +203,7 @@ class TestExactChi2Pair:
         sub = SiteSubset([1, 2])
         r1, r2 = partial_trace(a, sub), partial_trace(b, sub)
         direct = exact_chi2_pair(r1, r2)
-        via_ensemble = chi2(Ensemble([(0.5, r1), (0.5, r2)]))
+        via_ensemble = chi2(Ensemble(r1, r2))
         assert abs(direct - via_ensemble) < 1e-12
 
 
@@ -297,7 +307,7 @@ class TestSectorRoute:
 
         def metrics(p, t, subset):
             rho1, rho2 = (partial_trace(evolve(p, psi, t), subset) for psi in pair)
-            ens = Ensemble([(0.5, rho1), (0.5, rho2)])
+            ens = Ensemble(rho1, rho2)
             return np.array([exact_chi2_pair(rho1, rho2), holevo_chi(ens), chi_q(ens)])
 
         for t in np.linspace(0.0, 30.0, 7):

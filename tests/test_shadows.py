@@ -5,14 +5,13 @@ import itertools
 import numpy as np
 import pytest
 
-from scramblescope import qhilbert
+from scramblescope import shadows as shadows_module
 from scramblescope.qhilbert import (
     HADAMARD,
     PAULI_I,
     PHASE_S,
     SiteSubset,
     StateVector,
-    apply_local_unitary,
     basis_state,
     partial_trace,
     purity,
@@ -21,16 +20,17 @@ from scramblescope.shadows import (
     BASIS_X,
     BASIS_Y,
     BASIS_Z,
-    _BASIS_ROTATIONS,
+    MAX_SHADOW_BYTES,
     Chi2Estimate,
     MoMConfig,
     ShadowSet,
+    check_shadow_memory,
     chi2_estimate_many,
     kernel_value,
     sample_shadow_set,
 )
 
-from oracles import dense_snapshot, median_of_means, pair_kernel
+from oracles import apply_local_unitary, dense_snapshot, median_of_means, pair_kernel
 
 
 def random_state(n_sites, rng):
@@ -61,20 +61,20 @@ class TestKernel:
             kernel_value(0, 2, 0, 0)
 
     def test_records_reject_codes_before_the_uint8_cast(self):
-        with pytest.raises(ValueError):
-            ShadowSet(np.array([[258]]), np.array([[0]]), 1)
-        with pytest.raises(ValueError):
-            ShadowSet(np.array([[-1]]), np.array([[0]]), 1)
-        for bit in (2, 7):
+        # 6 is one past the largest code; 258 and 261 would wrap to 2 and 5
+        for code in (-1, 6, 7, 258, 261):
             with pytest.raises(ValueError):
-                ShadowSet(np.array([[0, 2]]), np.array([[0, bit]]), 2)
+                ShadowSet(np.array([[0, code]]))
+        for shape in ((3,), (2, 2, 2)):
+            with pytest.raises(ValueError):
+                ShadowSet(np.zeros(shape, dtype=np.uint8))
+        s = ShadowSet(np.arange(6).reshape(2, 3))
+        assert s.codes.dtype == np.uint8 and s.codes.tolist() == [[0, 1, 2], [3, 4, 5]]
+        assert len(s) == 2 and s.n_sites == 3
 
     def test_pair_kernel_is_sitewise_product(self):
-        s = ShadowSet(
-            np.array([[BASIS_X, BASIS_Z, BASIS_Y], [BASIS_X, BASIS_Z, BASIS_Z]]),
-            np.array([[0, 1, 0], [0, 1, 1]]),
-            3,
-        )
+        bases = np.array([[BASIS_X, BASIS_Z, BASIS_Y], [BASIS_X, BASIS_Z, BASIS_Z]])
+        s = ShadowSet(2 * bases + np.array([[0, 1, 0], [0, 1, 1]]))
         sub = SiteSubset([0, 1, 2])
         assert pair_kernel(s, 0, s, 1, sub) == 5.0 * 5.0 * 0.5
 
@@ -85,7 +85,12 @@ class TestKernel:
 def forced_outcomes(psi, bases, uniforms):
     """Born-sampler outcomes for given rows of Pauli basis codes."""
     bases = np.asarray(bases, dtype=np.uint8)
-    return qhilbert._born_outcomes(psi, _BASIS_ROTATIONS, bases, np.asarray(uniforms))
+    return shadows_module._born_outcomes(psi, bases, np.asarray(uniforms))
+
+
+def split(shadows):
+    """A shadow set's (bases, outcomes) arrays, unpacked from its codes."""
+    return np.divmod(shadows.codes, 2)
 
 
 class TestSnapshotSampling:
@@ -110,14 +115,14 @@ class TestSnapshotSampling:
         m = 30000
         shadows = sample_shadow_set(psi, m, rng)
         for i in range(m):
-            acc += dense_snapshot(shadows.bases[i], shadows.outcomes[i])
+            acc += dense_snapshot(*np.divmod(shadows.codes[i], 2))
         err = np.max(np.abs(acc / m - rho))
         assert err < 0.05
 
     def test_shadow_set_shapes(self):
         psi = basis_state(4, [0, 1, 0, 1])
         s = sample_shadow_set(psi, 17, np.random.default_rng(1))
-        assert len(s) == 17 and s.bases.shape == (17, 4)
+        assert len(s) == 17 and s.n_sites == 4 and s.codes.shape == (17, 4)
 
 
 # Reference rotations into the X, Y and Z eigenbases.
@@ -164,9 +169,10 @@ class TestSequentialSampler:
             shadows = sample_shadow_set(psi, 4, np.random.default_rng([n, seed]))
             draws = np.random.default_rng([n, seed])
             bases, uniforms = draws.integers(0, 3, size=(4, n)), draws.random(4)
-            assert np.array_equal(shadows.bases, bases)
+            got_bases, outcomes = split(shadows)
+            assert np.array_equal(got_bases, bases)
             for row, u in enumerate(uniforms):
-                assert list(shadows.outcomes[row]) == reference_outcome(psi, bases[row], u)
+                assert list(outcomes[row]) == reference_outcome(psi, bases[row], u)
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_forced_bases_and_born_sample_match_reference(self, n):
@@ -182,9 +188,9 @@ class TestSequentialSampler:
     def test_chunks_do_not_change_the_draws(self, monkeypatch):
         psi = random_state(5, np.random.default_rng(3))
         whole = sample_shadow_set(psi, 50, np.random.default_rng(4))
-        monkeypatch.setattr(qhilbert, "_SAMPLE_AMPLITUDES", 7 * 2**5)
+        monkeypatch.setattr(shadows_module, "_SAMPLE_AMPLITUDES", 7 * 2**5)
         chunked = sample_shadow_set(psi, 50, np.random.default_rng(4))
-        assert np.array_equal(whole.outcomes, chunked.outcomes)
+        assert np.array_equal(whole.codes, chunked.codes)
 
     @pytest.mark.parametrize("n, m", [(1, 9), (3, 10), (5, 23), (6, 1)])
     def test_basis_chunks_keep_the_stream(self, monkeypatch, n, m):
@@ -195,9 +201,10 @@ class TestSequentialSampler:
             got = sample_shadow_set(psi, m, np.random.default_rng(seed))
             draws = np.random.default_rng(seed)
             bases, uniforms = draws.integers(0, 3, size=(m, n)), draws.random(m)
-            assert got.bases.dtype == np.uint8 and np.array_equal(got.bases, bases)
+            got_bases, outcomes = split(got)
+            assert got.codes.dtype == np.uint8 and np.array_equal(got_bases, bases)
             for row, u in enumerate(uniforms):
-                assert list(got.outcomes[row]) == reference_outcome(psi, bases[row], u)
+                assert list(outcomes[row]) == reference_outcome(psi, bases[row], u)
 
     # The ends of [0, 1): 0 itself and the largest double below 1.
     @pytest.mark.parametrize("u", [0.0, 1.0 - 2.0**-53])
@@ -208,11 +215,11 @@ class TestSequentialSampler:
             out = forced_outcomes(psi, [[BASIS_Z] * psi.n_sites], [u])
             index = int("".join(str(b) for b in out[0]), 2)
             assert psi.amplitudes[index] != 0
-            snap = sample_shadow_set(psi, 1, _FixedUniform(seed, u))
+            bases, outcomes = split(sample_shadow_set(psi, 1, _FixedUniform(seed, u)))
             rotated = psi
-            for site, b in enumerate(snap.bases[0]):
+            for site, b in enumerate(bases[0]):
                 rotated = apply_local_unitary(rotated, site, REFERENCE_ROTATIONS[b])
-            index = int("".join(str(b) for b in snap.outcomes[0]), 2)
+            index = int("".join(str(b) for b in outcomes[0]), 2)
             assert abs(rotated.amplitudes[index]) > 0
 
 
@@ -348,6 +355,14 @@ class TestEstimatorRefusals:
         )
         with pytest.raises(ValueError, match="exceed"):
             chi2_estimate_many(a, b, [SiteSubset([0])], MoMConfig(6, 2))
+
+    def test_memory_budget_counts_the_per_snapshot_floats(self):
+        # a two-site snapshot is budgeted 32 bytes: 8 per site, plus its
+        # float64 uniform and target
+        fits = MAX_SHADOW_BYTES // 32
+        check_shadow_memory(2, fits, MoMConfig(1, 2), 1)
+        with pytest.raises(ValueError, match="memory limit"):
+            check_shadow_memory(2, fits + 1, MoMConfig(1, 2), 1)
 
     @pytest.mark.parametrize("n_batches, batch_size", [(1, 1), (0, 5)])
     def test_mom_refuses_bad_batching(self, n_batches, batch_size):
