@@ -37,6 +37,7 @@ from .infotheory import (
 from .models import MBL_SEED_DEFAULT, MBL_W_DEFAULT, ModelSpec, draw_disorder
 from .qhilbert import DensityOperator, SiteSubset
 from .scramble import (
+    MAX_TIME_STEPS,
     METRIC_NAMES,
     ScrambleScenario,
     _cage_window,
@@ -201,10 +202,13 @@ def _model_spec(cfg: RunConfig, kind: str) -> ModelSpec:
 
 
 def _scenario(cfg: RunConfig, kind: str, metrics, policy=None) -> ScrambleScenario:
-    """The command's scenario; a value it refuses is a usage error, before any work."""
+    """The command's scenario; a value it refuses is a usage error, before any
+    work. A time grid above MAX_TIME_STEPS is refused before it is built."""
     site = cfg.site
     if site is None:
         site = default_perturbation_site(kind, cfg.length)
+    if cfg.steps > MAX_TIME_STEPS:
+        raise ValueError(f"steps={cfg.steps} is above the time-grid limit of {MAX_TIME_STEPS}")
     try:
         return ScrambleScenario(
             model=_model_spec(cfg, kind),

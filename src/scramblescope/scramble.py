@@ -34,6 +34,9 @@ POLICIES = ("windows_containing_x", "all_subsets")
 # Most subsets the all_subsets policy enumerates. shadow-curve enumerates them
 # before the 13-site dense limit refuses, so the cap is reachable from 17 sites.
 SUBSET_CAP = 20000
+# Longest time grid a command builds. Its float64 times take 0.8 MB; each
+# time point then costs one evolution and one output row per subset and metric.
+MAX_TIME_STEPS = 100_000
 
 
 def default_perturbation_site(kind: str, n_sites: int) -> int:
@@ -242,8 +245,7 @@ def shadow_metric_curve(s: ScrambleScenario, subsystem_sizes=None) -> list[dict]
         (k, qualifying_subsets(replace(s, subsystem_size=k, subset_policy="all_subsets")))
         for k in subsystem_sizes
     ]
-    kernel_sites = max(len({x for sub in subsets for x in sub}) for _, subsets in subsets_by_size)
-    check_shadow_memory(s.model.n_sites, s.shots, mom, kernel_sites)
+    check_shadow_memory(s.model.n_sites, s.shots, mom, *subsystem_sizes)
     states = _trajectory(build_hamiltonian(s.model), prepare_ensemble(s), s.time_grid)
     rows = []
     for ti, (t, pair) in enumerate(zip(s.time_grid, states)):

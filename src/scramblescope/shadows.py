@@ -18,14 +18,17 @@ from .qhilbert import HADAMARD, PAULI_I, PHASE_S, SiteSubset, StateVector
 
 BASIS_X, BASIS_Y, BASIS_Z = 0, 1, 2
 
-# Largest shadow array budget, in bytes. A shadow-curve time point peaks while
-# it samples the second state: the first state's uint8 codes, the second's
-# uint8 bases and outcomes, and one float64 uniform and one float64 target per
-# snapshot. Budgeted at 8 bytes per snapshot and site plus 16 per snapshot;
-# tracemalloc over two TFIM time points saw 35.6 bytes per snapshot at L=6
-# (400,000 to 1,600,000 shots) and 25.1 at L=2 (200,000 to 800,000). A batch
-# of B snapshots holds one float64 B x B kernel matrix per measured site, and
-# up to five more for the running product and its indices.
+# Largest shadow array budget, in bytes; check_shadow_memory refuses a run
+# whose largest term exceeds it. A shadow-curve time point samples the second
+# state while it holds the first state's uint8 codes, the second's uint8 bases
+# and outcomes, and one float64 uniform and one float64 target per snapshot:
+# budgeted at 8 bytes per snapshot and site plus 16 per snapshot (tracemalloc
+# saw 35.6 bytes per snapshot at L=6 and 25.1 at L=2). The sampler's chunk, a
+# prefix table of at most _SAMPLE_AMPLITUDES amplitudes and its rows, peaked at
+# 68 bytes per amplitude for L = 1..13, budgeted at 96. The estimator holds
+# one histogram chunk, which peaked at 41 bytes per entry, budgeted at 48; a
+# subset size that takes the B x B order holds one float64 B x B kernel matrix
+# per measured site, and up to five more for the running product.
 MAX_SHADOW_BYTES = 2 ** 31
 
 # int64 basis draws per chunk of sample_shadow_set (512 KiB).
@@ -39,7 +42,8 @@ _BASIS_ROTATIONS = np.array([
     PAULI_I,                        # Z
 ])
 
-# Amplitudes one sampling chunk holds (4 MiB): 2**18 // 2**n snapshots of n sites.
+# Amplitudes one sampling chunk's prefix table holds (4 MiB); a chunk has at
+# most a quarter as many rows.
 _SAMPLE_AMPLITUDES = 2 ** 18
 
 
@@ -49,19 +53,32 @@ def _born_outcomes(state: StateVector, bases, uniforms) -> np.ndarray:
     Row i rotates site s by _BASIS_ROTATIONS[bases[i, s]] and keeps the half
     its target (uniform times total weight) falls in, less the weights it
     passes, never a zero-weight half: the CDF-inversion index, with no division.
+    The vector in front of site s depends only on the row's codes before s, so
+    each distinct (prefix, basis) key is rotated and halved once, and its two
+    half-weights are gathered back to the rows that share it.
     """
-    out = np.empty((len(uniforms), state.n_sites), dtype=np.uint8)
-    step = max(1, _SAMPLE_AMPLITUDES >> state.n_sites)
+    n = state.n_sites
+    out = np.empty((len(uniforms), n), dtype=np.uint8)
+    # Each row holds about four amplitudes' bytes of keys, weights and targets,
+    # and site s at most min(rows, 3 * 6**s) keys of 2**(n - s) amplitudes.
+    step = max(1, _SAMPLE_AMPLITUDES >> 2)
+    for s in range(n):
+        if 3 * 6**s << (n - s) > _SAMPLE_AMPLITUDES:
+            step = max(1, min(step, _SAMPLE_AMPLITUDES >> (n - s)))
+            break
     cuts = range(step, len(uniforms), step)
     targets = uniforms * np.sum(np.abs(state.amplitudes) ** 2)
     for b, target, o in zip(np.split(bases, cuts), np.split(targets, cuts), np.split(out, cuts)):
-        amps = np.broadcast_to(state.amplitudes, (len(b), state.dim))
-        for site in range(state.n_sites):
-            halves = _BASIS_ROTATIONS[b[:, site]] @ amps.reshape(len(b), 2, -1)
-            w = np.sum(np.abs(halves) ** 2, axis=2)
+        table, prefix = state.amplitudes[None], np.zeros(len(b), dtype=np.intp)
+        for site in range(n):
+            half = 2 ** (n - site - 1)
+            keys, row = np.unique(prefix * 3 + b[:, site], return_inverse=True)
+            halves = _BASIS_ROTATIONS[keys % 3] @ table[keys // 3].reshape(-1, 2, half)
+            w = np.sum(np.abs(halves) ** 2, axis=2)[row]
             o[:, site] = bit = (target >= w[:, 0]) & (w[:, 1] > 0)
             target = np.where(bit, target - w[:, 0], target)
-            amps = halves[np.arange(len(b)), bit.astype(np.intp)]
+            picks, prefix = np.unique(row * 2 + bit, return_inverse=True)
+            table = halves.reshape(-1, half)[picks]
     return out
 
 
@@ -85,6 +102,19 @@ _KERNEL_TABLE = np.array(
         for c1 in range(6)
     ]
 )
+
+# Integer factors w(c) = (1, 3 s e_basis), s = +1 for bit 0 and -1 for bit 1,
+# one row per code: the kernel of two codes is w(c) . w(c') / 2.
+_KERNEL_FACTORS = np.array([
+    [1, 3, 0, 0], [1, -3, 0, 0],    # X
+    [1, 0, 3, 0], [1, 0, -3, 0],    # Y
+    [1, 0, 0, 3], [1, 0, 0, -3],    # Z
+])
+assert np.array_equal(_KERNEL_FACTORS @ _KERNEL_FACTORS.T / 2, _KERNEL_TABLE)
+
+# Code-tuple histogram entries one estimator chunk holds: (subset, batch)
+# units of B tuple indices and 6**|A| counts each.
+_HISTOGRAM_ENTRIES = 2 ** 18
 
 
 @dataclass(frozen=True)
@@ -140,26 +170,85 @@ def sample_shadow_set(state: StateVector, n_snapshots: int, rng: np.random.Gener
     return ShadowSet(bases)
 
 
-def check_shadow_memory(n_sites: int, n_snapshots: int, mom: MoMConfig, kernel_sites: int) -> None:
-    """Refuse a shadow budget whose arrays would exceed MAX_SHADOW_BYTES."""
-    codes = n_snapshots * (8 * n_sites + 16)
-    kernels = 8 * mom.batch_size ** 2 * (kernel_sites + 5)
-    if max(codes, kernels) > MAX_SHADOW_BYTES:
+def _histogram_order(subset_size: int, batch_size: int) -> bool:
+    """Whether a subset's batch pair sums come from its 6**|A| code-tuple
+    histogram rather than from B x B kernel matrices. At 6**|A| = B**2 / 4
+    the histogram measured 1.4 to 4 times faster for |A| = 3..6, and at
+    6**|A| = 0.4 B**2 about as fast."""
+    return 4 * 6 ** subset_size <= batch_size ** 2
+
+
+def check_shadow_memory(n_sites: int, n_snapshots: int, mom: MoMConfig, *subset_sizes: int) -> None:
+    """Refuse a shadow budget whose arrays would exceed MAX_SHADOW_BYTES, for
+    an estimator handed subsets of the given sizes."""
+    b = mom.batch_size
+    need = [n_snapshots * (8 * n_sites + 16), 96 * _SAMPLE_AMPLITUDES]
+    for k in subset_sizes:
+        if _histogram_order(k, b):
+            need.append(48 * max(_HISTOGRAM_ENTRIES, b + 6 ** k))
+        else:
+            need.append(8 * b ** 2 * (n_sites + 5))
+    if max(need) > MAX_SHADOW_BYTES:
         raise ValueError(
-            f"{n_snapshots} snapshots of {n_sites} sites in batches of {mom.batch_size} "
-            f"need {max(codes, kernels) / 2 ** 30:.3g} GiB, above the shadow memory "
+            f"{n_snapshots} snapshots of {n_sites} sites in batches of {b} "
+            f"need {max(need) / 2 ** 30:.3g} GiB, above the shadow memory "
             f"limit of {MAX_SHADOW_BYTES / 2 ** 30:g} GiB"
         )
 
 
-def _kernel_medians(
+def _histogram_means(
+    codes1: np.ndarray, codes2: np.ndarray, subsets: Sequence[SiteSubset], mom: MoMConfig
+) -> np.ndarray:
+    """(3, subsets, batches) batch means of purity1, purity2 and overlap on
+    subsets of one size k, from histograms of the batches' code tuples.
+
+    Over a batch, S = sum_i (x)_{s in A} w(c_is) is the histogram of the
+    6**k tuples contracted with _KERNEL_FACTORS on each axis, an integer
+    vector, and the pair sum of the kernel is S.S / 2**k. The sums are exact
+    while B**2 * 10**k < 2**53, as the B x B sums are, so both orders give
+    the same bits.
+    """
+    k, batches, b = len(subsets[0]), mom.n_batches, mom.batch_size
+    cols = np.array([s.indices for s in subsets])
+    place = 6 ** np.arange(k - 1, -1, -1)
+    units = len(subsets) * batches
+    means = np.empty((3, units))
+    # A unit is one (subset, batch) pair: B tuple indices and 6**k counts.
+    step = max(1, _HISTOGRAM_ENTRIES // (b + 6 ** k))
+    for start in range(0, units, step):
+        j, batch = np.divmod(np.arange(start, min(start + step, units)), batches)
+        rows = (batch * b)[:, None, None] + np.arange(b)[:, None]
+        offsets = (np.arange(len(j)) * 6 ** k)[:, None]
+        s1, s2 = (
+            _tuple_sums(c[rows, cols[j][:, None, :]] @ place + offsets, k)
+            for c in (codes1, codes2)
+        )
+        means[:, start : start + len(j)] = (
+            ((s1 * s1).sum(axis=1) / 2 ** k - b * 5 ** k) / (b * (b - 1)),
+            ((s2 * s2).sum(axis=1) / 2 ** k - b * 5 ** k) / (b * (b - 1)),
+            (s1 * s2).sum(axis=1) / 2 ** k / (b * b),
+        )
+    return means.reshape(3, len(subsets), batches)
+
+
+def _tuple_sums(index: np.ndarray, k: int) -> np.ndarray:
+    """(units, 4**k) sums S from a (units, B) array of offset tuple indices."""
+    units = len(index)
+    counts = np.bincount(index.ravel(), minlength=units * 6 ** k)
+    s = counts.reshape(units, *(6,) * k).astype(np.float64)
+    for _ in range(k):
+        s = np.tensordot(s, _KERNEL_FACTORS, axes=(1, 0))
+    return s.reshape(units, -1)
+
+
+def _pair_means(
     codes_a: np.ndarray,
     codes_b: np.ndarray,
     subsets: Sequence[SiteSubset],
     mom: MoMConfig,
     same_set: bool,
 ) -> np.ndarray:
-    """Median over batches of each subset's mean snapshot-pair kernel.
+    """(subsets, batches) means of the snapshot-pair kernel, from B x B matrices.
 
     Within a batch the kernel of a subset is the elementwise product of the
     single-site B x B kernel matrices, each formed once per batch and shared
@@ -182,7 +271,29 @@ def _kernel_medians(
                 means[j, k] = (g.sum() - np.trace(g)) / (nb * (nb - 1))
             else:
                 means[j, k] = g.mean()
-    return np.median(means, axis=1)
+    return means
+
+
+def _kernel_medians(
+    codes1: np.ndarray, codes2: np.ndarray, subsets: Sequence[SiteSubset], mom: MoMConfig
+) -> np.ndarray:
+    """(3, subsets) medians over batches of purity1, purity2 and overlap.
+
+    One estimator, the mean snapshot-pair kernel per batch, in two
+    evaluation orders: each size of subset takes the histogram or the
+    B x B order, whichever _histogram_order finds cheaper.
+    """
+    means = np.empty((3, len(subsets), mom.n_batches))
+    for k in sorted({len(s) for s in subsets}):
+        js = [j for j, s in enumerate(subsets) if len(s) == k]
+        group = [subsets[j] for j in js]
+        if _histogram_order(k, mom.batch_size):
+            means[:, js] = _histogram_means(codes1, codes2, group, mom)
+        else:
+            means[0, js] = _pair_means(codes1, codes1, group, mom, same_set=True)
+            means[1, js] = _pair_means(codes2, codes2, group, mom, same_set=True)
+            means[2, js] = _pair_means(codes1, codes2, group, mom, same_set=False)
+    return np.median(means, axis=2)
 
 
 @dataclass(frozen=True)
@@ -203,10 +314,10 @@ def chi2_estimate_many(
 ) -> list[Chi2Estimate]:
     """Estimate chi2 on each subset from the two purities and the cross overlap.
 
-    Per-site kernel matrices are formed once per batch and shared by every
-    subset. Purities are clamped to [2^-|A|, 1] before the logarithm, so the
-    plug-in value can carry a small bias; the raw components are reported
-    alongside.
+    Each subset size takes the cheaper of the estimator's two evaluation
+    orders, which give the same bits. Purities are clamped to [2^-|A|, 1]
+    before the logarithm, so the plug-in value can carry a small bias; the
+    raw components are reported alongside.
     """
     if shadows1.n_sites != shadows2.n_sites:
         raise ValueError("shadow sets come from different chain lengths")
@@ -217,10 +328,7 @@ def chi2_estimate_many(
             f"{mom.n_batches} batches of {mom.batch_size} exceed the "
             f"{len(shadows1)} and {len(shadows2)} available snapshots"
         )
-    c1, c2 = shadows1.codes, shadows2.codes
-    p1 = _kernel_medians(c1, c1, subsets, mom, same_set=True).tolist()
-    p2 = _kernel_medians(c2, c2, subsets, mom, same_set=True).tolist()
-    ov = _kernel_medians(c1, c2, subsets, mom, same_set=False).tolist()
+    p1, p2, ov = _kernel_medians(shadows1.codes, shadows2.codes, subsets, mom).tolist()
     return [
         Chi2Estimate(
             value=chi2_from_purities(a, b, (a + b + 2.0 * o) / 4.0, 2 ** len(subset)),

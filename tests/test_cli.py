@@ -317,8 +317,9 @@ class TestMainErrors:
         "args",
         [
             ["--model", "pxp", "--length", "6", "--shots", "1000000000", "--steps", "1"],
-            ["--model", "tfim", "--length", "4", "--shots", "60000", "--batches", "2",
-             "--steps", "1"],
+            # 12-site subsets take the B x B order at B = 30000: 8 B^2 (12 + 5) bytes
+            ["--model", "tfim", "--length", "12", "--subsystem-size", "12", "--shots", "60000",
+             "--batches", "2", "--steps", "1"],
         ],
     )
     def test_shadow_budget_above_memory_limit_is_refused(self, tmp_path, capsys, monkeypatch, args):
@@ -331,6 +332,40 @@ class TestMainErrors:
         err = capsys.readouterr().err
         assert err.startswith("error: ValueError:") and "memory limit" in err
         assert not out.exists()
+
+    def test_histogram_order_budget_is_accepted(self, tmp_path, capsys):
+        # Two-site subsets in batches of 30000 take the histogram order; the
+        # B x B kernel matrices (8 B^2 (4 + 5) bytes) are never formed.
+        out = tmp_path / "o"
+        args = ["shadow-curve", "--model", "tfim", "--length", "4", "--shots", "60000",
+                "--batches", "2", "--steps", "1", "--out", str(out)]
+        assert main(args) == 0
+        assert (out / "shadow_curve.csv").exists()
+
+    @pytest.mark.parametrize("command", ["grid", "shadow-curve", "clifford-verify", "mbl-cage"])
+    def test_time_grid_above_limit_is_refused_before_it_is_built(
+        self, tmp_path, capsys, monkeypatch, command
+    ):
+        def must_not_build(*a, **k):
+            raise AssertionError("built the time grid")
+
+        monkeypatch.setattr(cli, "MAX_TIME_STEPS", 3)
+        monkeypatch.setattr(cli.np, "linspace", must_not_build)
+        out = tmp_path / "o"
+        args = [command, "--model", "pxp", "--length", "6", "--shots", "20", "--steps", "4"]
+        if command in ("clifford-verify", "mbl-cage"):
+            args = [command, "--length", "6", "--steps", "4"]
+        assert main([*args, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ValueError:") and "time-grid limit of 3" in err
+        assert "Traceback" not in err and not out.exists()
+
+    def test_time_grid_at_the_limit_is_built(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "MAX_TIME_STEPS", 3)
+        out = tmp_path / "o"
+        args = ["grid", "--model", "tfim", "--length", "4", "--steps", "3", "--out", str(out)]
+        assert main(args) == 0
+        assert len((out / "grid.csv").read_text().splitlines()) > 1
 
     def test_failed_run_leaves_no_output_dir(self, tmp_path, capsys):
         out = tmp_path / "o"

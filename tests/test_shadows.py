@@ -38,6 +38,18 @@ def random_state(n_sites, rng):
     return StateVector(n_sites, amps / np.linalg.norm(amps))
 
 
+def brute_force_median(x, y, sub, mom):
+    """Median over batches of the mean pair_kernel over each batch's snapshot
+    pairs: i != j within one set, all pairs across two."""
+    means = []
+    for k in range(mom.n_batches):
+        batch = range(k * mom.batch_size, (k + 1) * mom.batch_size)
+        means.append(np.mean([
+            pair_kernel(x, i, y, j, sub) for i in batch for j in batch if not (x is y and i == j)
+        ]))
+    return np.median(means)
+
+
 class TestKernel:
     def test_all_36_pairs_match_dense_oracle(self):
         # oracle: build both single-site snapshot matrices densely and trace
@@ -192,6 +204,27 @@ class TestSequentialSampler:
         chunked = sample_shadow_set(psi, 50, np.random.default_rng(4))
         assert np.array_equal(whole.codes, chunked.codes)
 
+    def test_prefix_sharing_at_criterion_scale_matches_reference(self, monkeypatch):
+        # 1000 snapshots at L=10 share site 3's 648 (prefix, basis) keys; a
+        # table bound of 2**15 amplitudes then splits them into chunks of 256.
+        psi = random_state(10, np.random.default_rng(31))
+        draws = np.random.default_rng(32)
+        bases, uniforms = draws.integers(0, 3, size=(1000, 10)), draws.random(1000)
+        want = np.array([reference_outcome(psi, bases[i], u) for i, u in enumerate(uniforms)])
+        unique, rows = np.unique, []
+
+        def counting_unique(a, **kwargs):
+            rows.append(len(a))
+            return unique(a, **kwargs)
+
+        monkeypatch.setattr(shadows_module.np, "unique", counting_unique)
+        assert np.array_equal(forced_outcomes(psi, bases, uniforms), want)
+        assert max(rows) == 1000
+        rows.clear()
+        monkeypatch.setattr(shadows_module, "_SAMPLE_AMPLITUDES", 2**15)
+        assert np.array_equal(forced_outcomes(psi, bases, uniforms), want)
+        assert max(rows) == 256 and len(rows) == 4 * 2 * 10
+
     @pytest.mark.parametrize("n, m", [(1, 9), (3, 10), (5, 23), (6, 1)])
     def test_basis_chunks_keep_the_stream(self, monkeypatch, n, m):
         # rows of 7 // n snapshots per draw: several chunks, the last one short
@@ -330,6 +363,63 @@ class TestChi2Estimate:
             assert abs(est.purity2 - oracle(b, b, sub, True)) <= 1e-12
             assert abs(est.overlap - oracle(a, b, sub, False)) <= 1e-12
 
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_both_orders_give_the_same_bits(self, monkeypatch, k):
+        rng = np.random.default_rng(40 + k)
+        a = sample_shadow_set(random_state(5, rng), 63, np.random.default_rng(41))
+        b = sample_shadow_set(random_state(5, rng), 63, np.random.default_rng(42))
+        subsets = [SiteSubset(c) for c in itertools.combinations(range(5), k)]
+        runs = []
+        for histogram in (True, False):
+            monkeypatch.setattr(shadows_module, "_histogram_order", lambda *_, h=histogram: h)
+            ests = chi2_estimate_many(a, b, subsets, MoMConfig(3, 20))
+            runs.append(np.array([[e.purity1, e.purity2, e.overlap] for e in ests]))
+        assert np.array_equal(runs[0], runs[1])
+
+    def test_mixed_sizes_match_pair_kernel_oracle_in_both_orders(self, monkeypatch):
+        # In batches of 20 the cost rule takes the histogram for two sites and
+        # the B x B order for three, so one call with sizes 1..3 uses both.
+        rule = shadows_module._histogram_order
+        assert rule(2, 20) and not rule(3, 20)
+        rng = np.random.default_rng(51)
+        a = sample_shadow_set(random_state(5, rng), 41, np.random.default_rng(52))
+        b = sample_shadow_set(random_state(5, rng), 41, np.random.default_rng(53))
+        mom = MoMConfig(2, 20)
+        subsets = [SiteSubset(c) for k in (1, 2, 3) for c in itertools.combinations(range(5), k)]
+        want = np.array([
+            [brute_force_median(x, y, sub, mom) for x, y in ((a, a), (b, b), (a, b))]
+            for sub in subsets
+        ])
+        for order in (rule, lambda *_: True, lambda *_: False):
+            monkeypatch.setattr(shadows_module, "_histogram_order", order)
+            ests = chi2_estimate_many(a, b, subsets, mom)
+            got = np.array([[e.purity1, e.purity2, e.overlap] for e in ests])
+            assert np.max(np.abs(got - want)) <= 1e-12
+
+    def test_histogram_chunks_split_and_keep_the_bits(self, monkeypatch):
+        # A bound of 300 entries holds five two-site units (20 tuple indices
+        # and 36 counts each) and one three-site unit (20 and 216); a
+        # four-site unit (20 and 1296) alone exceeds it and is one chunk.
+        rng = np.random.default_rng(61)
+        a = sample_shadow_set(random_state(5, rng), 60, np.random.default_rng(62))
+        b = sample_shadow_set(random_state(5, rng), 60, np.random.default_rng(63))
+        subsets = [SiteSubset(c) for k in (2, 3, 4) for c in itertools.combinations(range(5), k)]
+        monkeypatch.setattr(shadows_module, "_histogram_order", lambda *_: True)
+        whole = chi2_estimate_many(a, b, subsets, MoMConfig(3, 20))
+        bincount, held = np.bincount, []
+
+        def counting_bincount(index, minlength):
+            held.append((index.size, minlength))
+            return bincount(index, minlength=minlength)
+
+        monkeypatch.setattr(shadows_module, "_HISTOGRAM_ENTRIES", 300)
+        monkeypatch.setattr(shadows_module.np, "bincount", counting_bincount)
+        chunked = chi2_estimate_many(a, b, subsets, MoMConfig(3, 20))
+        assert chunked == whole
+        # (tuple indices, counts) per call, for each set of each chunk
+        assert sorted(set(held)) == [(20, 216), (20, 1296), (100, 180)]
+        assert len(held) == 2 * (30 // 5 + 30 + 15)
+
     def test_components_reported(self):
         est = Chi2Estimate(0.1, 0.9, 0.8, 0.5)
         assert est.purity1 == 0.9 and est.overlap == 0.5
@@ -363,6 +453,21 @@ class TestEstimatorRefusals:
         check_shadow_memory(2, fits, MoMConfig(1, 2), 1)
         with pytest.raises(ValueError, match="memory limit"):
             check_shadow_memory(2, fits + 1, MoMConfig(1, 2), 1)
+
+    def test_memory_budget_drops_the_kernel_term_in_histogram_order(self):
+        # Three-site subsets in one batch of 7000 take the histogram order:
+        # the B x B kernel term, 8 * 7000**2 * (10 + 5) bytes, is not held.
+        check_shadow_memory(10, 7000, MoMConfig(1, 7000), 3)
+        with pytest.raises(ValueError, match="memory limit"):
+            check_shadow_memory(10, 7000, MoMConfig(1, 7000), 10)
+
+    def test_memory_budget_refuses_a_histogram_unit_above_the_limit(self):
+        # One batch of 400000 takes the histogram order for 12 sites, but one
+        # unit's 6**12 counts alone exceed the limit; 9 sites fit.
+        assert shadows_module._histogram_order(12, 400_000)
+        check_shadow_memory(14, 400_000, MoMConfig(1, 400_000), 9)
+        with pytest.raises(ValueError, match="memory limit"):
+            check_shadow_memory(14, 400_000, MoMConfig(1, 400_000), 9, 12)
 
     @pytest.mark.parametrize("n_batches, batch_size", [(1, 1), (0, 5)])
     def test_mom_refuses_bad_batching(self, n_batches, batch_size):
