@@ -19,9 +19,10 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .cliffordverify import clifford_convergence_experiment, summarize_convergence
+from .cliffordverify import MAX_SAMPLE_COUNT, clifford_convergence_experiment, summarize_convergence
 from .infotheory import (
     HAAR_MIN_SAMPLES,
+    MAX_HAAR_SAMPLES,
     Ensemble,
     chi2,
     haar_moment_mc,
@@ -128,11 +129,6 @@ class RunConfig:
         for key in ("steps", "batches", "trials", "n_spectra", "n_triples"):
             if getattr(self, key) < 1:
                 raise UsageError(f"{key} must be at least 1")
-        if self.command == "shadow-curve":
-            try:
-                MoMConfig(self.batches, self.shots // self.batches)
-            except ValueError as err:
-                raise UsageError(f"shots={self.shots}, batches={self.batches}: {err}") from None
         if self.n_haar < HAAR_MIN_SAMPLES:
             raise UsageError(f"n_haar must be at least {HAAR_MIN_SAMPLES}")
         if not self.sample_counts or min(self.sample_counts) < 1:
@@ -218,9 +214,7 @@ def _scenario(cfg: RunConfig, kind: str, metrics, policy=None) -> ScrambleScenar
             time_grid=np.linspace(0.0, cfg.tmax, cfg.steps),
             subset_policy=policy if policy is not None else cfg.policy,
             metrics=tuple(metrics),
-            shots=cfg.shots,
             master_seed=cfg.seed,
-            n_batches=cfg.batches,
         )
     except ValueError as err:
         raise UsageError(str(err)) from None
@@ -279,17 +273,23 @@ def _cmd_grid(cfg: RunConfig):
 
 
 def _cmd_shadow_curve(cfg: RunConfig):
+    try:
+        mom = MoMConfig(cfg.batches, cfg.shots // cfg.batches)
+    except ValueError as err:
+        raise UsageError(f"shots={cfg.shots}, batches={cfg.batches}: {err}") from None
     kind = _MODEL_KINDS[cfg.model.lower()]
     scenario = _scenario(cfg, kind, ("chi2",), policy="all_subsets")
-    rows = shadow_metric_curve(scenario)
+    rows = shadow_metric_curve(scenario, cfg.shots, mom)
     header = ("t", "L_A", "chi2_shadow", "chi2_exact")
     # The shots % batches remainder is sampled but falls outside every batch.
-    used = cfg.batches * (cfg.shots // cfg.batches)
+    used = mom.n_batches * mom.batch_size
     extra = {"scenario": scenario.scenario_echo(), "snapshots_used_per_state": used}
     return {"shadow_curve": (header, rows)}, extra
 
 
 def _cmd_clifford_verify(cfg: RunConfig):
+    if max(cfg.sample_counts) > MAX_SAMPLE_COUNT:
+        raise ValueError(f"sample count {max(cfg.sample_counts)} is above the limit of {MAX_SAMPLE_COUNT}")
     scenario = _scenario(cfg, "PXP", ("chi2",))
     rows = clifford_convergence_experiment(scenario, cfg.sample_counts, cfg.trials)
     tables = {
@@ -402,6 +402,8 @@ def run_identity_suites(seed: int, n_spectra: int, n_triples: int, n_haar: int) 
 
 def _cmd_identity_suite(cfg: RunConfig, out_dir: Path) -> None:
     """Write the identity report (always JSON) and its manifest."""
+    if cfg.n_haar > MAX_HAAR_SAMPLES:
+        raise ValueError(f"n_haar={cfg.n_haar} is above the Haar-sample limit of {MAX_HAAR_SAMPLES}")
     report = run_identity_suites(cfg.seed, cfg.n_spectra, cfg.n_triples, cfg.n_haar)
     out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / "identity_suite.json"

@@ -58,9 +58,7 @@ class ScrambleScenario:
     time_grid: np.ndarray
     subset_policy: str = "windows_containing_x"
     metrics: tuple = ("chi2",)
-    shots: int | None = None
     master_seed: int = 0
-    n_batches: int = 10
 
     def __post_init__(self):
         object.__setattr__(self, "metrics", tuple(self.metrics))
@@ -90,8 +88,6 @@ class ScrambleScenario:
             raise ValueError(f"unknown metric in {self.metrics}")
         if len(set(self.metrics)) != len(self.metrics):
             raise ValueError(f"duplicate metric in {self.metrics}")
-        if self.n_batches < 1:
-            raise ValueError(f"n_batches must be at least 1, got {self.n_batches}")
         # Written so that NaN fails them.
         if grid.ndim != 1 or grid.size == 0 or not grid[0] >= 0:
             raise ValueError("time grid must be 1-D and start at t >= 0")
@@ -112,9 +108,7 @@ class ScrambleScenario:
             "subset_policy": self.subset_policy,
             "metrics": list(self.metrics),
             "time_grid": [float(t) for t in self.time_grid],
-            "shots": self.shots,
             "master_seed": self.master_seed,
-            "n_batches": self.n_batches,
             "units": "nats",
             "version": _version,
         }
@@ -227,30 +221,30 @@ def exact_metric_grid(s: ScrambleScenario) -> GridResult:
     )
 
 
-def shadow_metric_curve(s: ScrambleScenario, subsystem_sizes=None) -> list[dict]:
+def shadow_metric_curve(
+    s: ScrambleScenario, shots: int, mom: MoMConfig, subsystem_sizes=None
+) -> list[dict]:
     """Shadow-estimated and exact maximal chi2 along the time grid.
 
-    At each time a fresh pair of shadow sets is generated; each requested
-    subsystem size reuses the same sets, as the protocol allows. Rows carry
+    At each time a fresh pair of shots-snapshot shadow sets is generated,
+    and mom's batches take the first of them; each requested subsystem size
+    reuses the same sets, as the protocol allows. Rows carry
     (t, L_A, chi2_shadow, chi2_exact).
     """
-    if s.shots is None:
-        raise ValueError("scenario has no shot budget")
-    if set(s.metrics) != {"chi2"}:
-        raise ValueError("shadow curves support the chi2 metric only")
+    if mom.n_batches * mom.batch_size > shots:
+        raise ValueError(f"{mom.n_batches} batches of {mom.batch_size} exceed {shots} shots")
     if subsystem_sizes is None:
         subsystem_sizes = (s.subsystem_size,)
-    mom = MoMConfig(n_batches=s.n_batches, batch_size=s.shots // s.n_batches)
     subsets_by_size = [
         (k, qualifying_subsets(replace(s, subsystem_size=k, subset_policy="all_subsets")))
         for k in subsystem_sizes
     ]
-    check_shadow_memory(s.model.n_sites, s.shots, mom, *subsystem_sizes)
+    check_shadow_memory(s.model.n_sites, shots, mom, *subsystem_sizes)
     states = _trajectory(build_hamiltonian(s.model), prepare_ensemble(s), s.time_grid)
     rows = []
     for ti, (t, pair) in enumerate(zip(s.time_grid, states)):
         set1, set2 = (
-            sample_shadow_set(psi, s.shots, substream_rng(s.master_seed, f"shadow:{label}", ti))
+            sample_shadow_set(psi, shots, substream_rng(s.master_seed, f"shadow:{label}", ti))
             for psi, label in zip(pair, ("state1", "state2"))
         )
         for k, subsets in subsets_by_size:

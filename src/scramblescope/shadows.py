@@ -8,6 +8,7 @@ cross-state overlaps are estimated from the three-valued lookup kernel
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -196,23 +197,21 @@ def check_shadow_memory(n_sites: int, n_snapshots: int, mom: MoMConfig, *subset_
         )
 
 
-def _histogram_means(
+def _histogram_sums(
     codes1: np.ndarray, codes2: np.ndarray, subsets: Sequence[SiteSubset], mom: MoMConfig
 ) -> np.ndarray:
-    """(3, subsets, batches) batch means of purity1, purity2 and overlap on
-    subsets of one size k, from histograms of the batches' code tuples.
+    """(3, subsets, batches) pair sums T11, T22 and T12 on subsets of one
+    size k, from histograms of the batches' code tuples.
 
     Over a batch, S = sum_i (x)_{s in A} w(c_is) is the histogram of the
     6**k tuples contracted with _KERNEL_FACTORS on each axis, an integer
-    vector, and the pair sum of the kernel is S.S / 2**k. The sums are exact
-    while B**2 * 10**k < 2**53, as the B x B sums are, so both orders give
-    the same bits.
+    vector, and the pair sum of the kernel is S.S / 2**k.
     """
     k, batches, b = len(subsets[0]), mom.n_batches, mom.batch_size
     cols = np.array([s.indices for s in subsets])
     place = 6 ** np.arange(k - 1, -1, -1)
     units = len(subsets) * batches
-    means = np.empty((3, units))
+    sums = np.empty((3, units))
     # A unit is one (subset, batch) pair: B tuple indices and 6**k counts.
     step = max(1, _HISTOGRAM_ENTRIES // (b + 6 ** k))
     for start in range(0, units, step):
@@ -223,12 +222,10 @@ def _histogram_means(
             _tuple_sums(c[rows, cols[j][:, None, :]] @ place + offsets, k)
             for c in (codes1, codes2)
         )
-        means[:, start : start + len(j)] = (
-            ((s1 * s1).sum(axis=1) / 2 ** k - b * 5 ** k) / (b * (b - 1)),
-            ((s2 * s2).sum(axis=1) / 2 ** k - b * 5 ** k) / (b * (b - 1)),
-            (s1 * s2).sum(axis=1) / 2 ** k / (b * b),
+        sums[:, start : start + len(j)] = (
+            (s1 * s1).sum(axis=1), (s2 * s2).sum(axis=1), (s1 * s2).sum(axis=1)
         )
-    return means.reshape(3, len(subsets), batches)
+    return sums.reshape(3, len(subsets), batches) / 2 ** k
 
 
 def _tuple_sums(index: np.ndarray, k: int) -> np.ndarray:
@@ -241,37 +238,25 @@ def _tuple_sums(index: np.ndarray, k: int) -> np.ndarray:
     return s.reshape(units, -1)
 
 
-def _pair_means(
-    codes_a: np.ndarray,
-    codes_b: np.ndarray,
-    subsets: Sequence[SiteSubset],
-    mom: MoMConfig,
-    same_set: bool,
+def _pair_sums(
+    codes1: np.ndarray, codes2: np.ndarray, subsets: Sequence[SiteSubset], mom: MoMConfig
 ) -> np.ndarray:
-    """(subsets, batches) means of the snapshot-pair kernel, from B x B matrices.
+    """(3, subsets, batches) pair sums T11, T22 and T12, from B x B matrices.
 
-    Within a batch the kernel of a subset is the elementwise product of the
-    single-site B x B kernel matrices, each formed once per batch and shared
-    by every subset. With same_set the two code arrays are one shadow set and
-    the diagonal (a snapshot paired with itself) is left out, which makes the
-    batch mean an unbiased U-statistic of Tr(rho_A^2); otherwise the batch
-    mean estimates the overlap Tr(rho1_A rho2_A).
+    Within a batch the kernel of a subset is the elementwise running product
+    of the single-site B x B kernel matrices, each formed once per batch and
+    pair of sets and shared by every subset.
     """
     sites = sorted({site for s in subsets for site in s})
-    nb = mom.batch_size
-    means = np.empty((len(subsets), mom.n_batches))
-    for k in range(mom.n_batches):
-        a, b = codes_a[k * nb : (k + 1) * nb], codes_b[k * nb : (k + 1) * nb]
-        kern = {s: _KERNEL_TABLE[a[:, s][:, None], b[:, s][None, :]] for s in sites}
-        for j, subset in enumerate(subsets):
-            g = None
-            for site in subset:
-                g = kern[site] if g is None else g * kern[site]
-            if same_set:
-                means[j, k] = (g.sum() - np.trace(g)) / (nb * (nb - 1))
-            else:
-                means[j, k] = g.mean()
-    return means
+    b = mom.batch_size
+    sums = np.empty((3, len(subsets), mom.n_batches))
+    for i, (x, y) in enumerate(((codes1, codes1), (codes2, codes2), (codes1, codes2))):
+        for k in range(mom.n_batches):
+            xk, yk = x[k * b : (k + 1) * b], y[k * b : (k + 1) * b]
+            kern = {s: _KERNEL_TABLE[xk[:, s][:, None], yk[:, s][None, :]] for s in sites}
+            for j, subset in enumerate(subsets):
+                sums[i, j, k] = math.prod(kern[site] for site in subset).sum()
+    return sums
 
 
 def _kernel_medians(
@@ -279,20 +264,22 @@ def _kernel_medians(
 ) -> np.ndarray:
     """(3, subsets) medians over batches of purity1, purity2 and overlap.
 
-    One estimator, the mean snapshot-pair kernel per batch, in two
-    evaluation orders: each size of subset takes the histogram or the
-    B x B order, whichever _histogram_order finds cheaper.
+    One estimator, the kernel summed over all B**2 snapshot pairs of a
+    batch, in two evaluation orders: each size of subset takes the histogram
+    or the B x B order, whichever _histogram_order finds cheaper. Every sum
+    is an exact dyadic value while B**2 * 10**|A| < 2**53, so both orders
+    give the same bits. A snapshot paired with itself adds 5**|A|; leaving
+    out those B self-pairs makes the purity mean an unbiased U-statistic of
+    Tr(rho_A^2), and the overlap is the mean over all pairs.
     """
-    means = np.empty((3, len(subsets), mom.n_batches))
+    b = mom.batch_size
+    sums = np.empty((3, len(subsets), mom.n_batches))
     for k in sorted({len(s) for s in subsets}):
         js = [j for j, s in enumerate(subsets) if len(s) == k]
-        group = [subsets[j] for j in js]
-        if _histogram_order(k, mom.batch_size):
-            means[:, js] = _histogram_means(codes1, codes2, group, mom)
-        else:
-            means[0, js] = _pair_means(codes1, codes1, group, mom, same_set=True)
-            means[1, js] = _pair_means(codes2, codes2, group, mom, same_set=True)
-            means[2, js] = _pair_means(codes1, codes2, group, mom, same_set=False)
+        order = _histogram_sums if _histogram_order(k, b) else _pair_sums
+        sums[:, js] = order(codes1, codes2, [subsets[j] for j in js], mom)
+    self_pairs = b * 5 ** np.array([len(s) for s in subsets])[:, None]
+    means = np.concatenate([(sums[:2] - self_pairs) / (b * (b - 1)), sums[2:] / (b * b)])
     return np.median(means, axis=2)
 
 

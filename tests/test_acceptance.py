@@ -249,11 +249,9 @@ def test_criterion_8_shadow_curve_tracking():
         perturbation_site=4,
         subsystem_size=3,
         time_grid=np.linspace(0.0, 30.0, 20),
-        shots=3000,
         master_seed=0,
-        n_batches=10,
     )
-    rows = shadow_metric_curve(s, subsystem_sizes=(1, 2, 3))
+    rows = shadow_metric_curve(s, 3000, MoMConfig(10, 300), subsystem_sizes=(1, 2, 3))
     ok = True
     details = []
     for k in (1, 2, 3):

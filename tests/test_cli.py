@@ -13,6 +13,7 @@ import scramblescope
 
 from scramblescope import cli, scramble
 from scramblescope.cli import RunConfig, UsageError, main, parse_config, run, run_identity_suites
+from scramblescope.shadows import MoMConfig
 
 
 class TestParseConfig:
@@ -239,6 +240,37 @@ class TestShadowCurveCommand:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["snapshots_used_per_state"] == 200  # 10 batches of 20
 
+    def test_run_builds_one_batching(self, tmp_path, monkeypatch):
+        built, check = [], MoMConfig.__post_init__
+        monkeypatch.setattr(MoMConfig, "__post_init__", lambda m: built.append(m) or check(m))
+        run(parse_config(["shadow-curve", "--model", "tfim", "--length", "4", "--shots", "200",
+                          "--steps", "1", "--out", str(tmp_path / "o")]))
+        assert [(m.n_batches, m.batch_size) for m in built] == [(10, 20)]
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["grid", "--model", "tfim", "--length", "4", "--steps", "1"],
+        ["shadow-curve", "--model", "tfim", "--length", "4", "--subsystem-size", "1",
+         "--shots", "3005", "--batches", "10", "--steps", "1"],
+        ["clifford-verify", "--length", "4", "--subsystem-size", "1", "--steps", "1"],
+        ["mbl-cage", "--length", "4", "--steps", "1"],
+    ],
+    ids=lambda args: args[0],
+)
+def test_manifest_scenario_records_no_shot_budget(tmp_path, args):
+    # The shot budget is the shadow-curve command's, not the scenario's: the
+    # config echo keeps shots and batches, and shadow-curve records the
+    # snapshots its batches used.
+    out = tmp_path / "o"
+    assert main([*args, "--out", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert "shots" not in manifest["scenario"] and "n_batches" not in manifest["scenario"]
+    assert {"shots", "batches"} <= manifest["config"].keys()
+    if args[0] == "shadow-curve":
+        assert manifest["snapshots_used_per_state"] == 3000
+
 
 class TestMblCageCommand:
     def test_decoupled_control(self, tmp_path):
@@ -366,6 +398,49 @@ class TestMainErrors:
         args = ["grid", "--model", "tfim", "--length", "4", "--steps", "3", "--out", str(out)]
         assert main(args) == 0
         assert len((out / "grid.csv").read_text().splitlines()) > 1
+
+    def test_sample_count_above_limit_is_refused_before_work(self, tmp_path, capsys, monkeypatch):
+        def must_not_run(*a, **k):
+            raise AssertionError("ran the experiment")
+
+        monkeypatch.setattr(cli, "clifford_convergence_experiment", must_not_run)
+        p = tmp_path / "c.json"
+        p.write_text(json.dumps({"sample_counts": [10, cli.MAX_SAMPLE_COUNT + 1]}))
+        out = tmp_path / "o"
+        assert main(["clifford-verify", "--length", "6", "--config", str(p), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ValueError:") and f"limit of {cli.MAX_SAMPLE_COUNT}" in err
+        assert "Traceback" not in err and not out.exists()
+
+    def test_sample_count_at_the_limit_is_run(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "MAX_SAMPLE_COUNT", 10)
+        p = tmp_path / "c.json"
+        p.write_text(json.dumps({"sample_counts": [10], "trials": 2}))
+        out = tmp_path / "o"
+        args = ["clifford-verify", "--length", "4", "--subsystem-size", "1", "--steps", "1"]
+        assert main([*args, "--config", str(p), "--out", str(out)]) == 0
+        assert (out / "clifford_verify.csv").exists()
+
+    def test_haar_samples_above_limit_are_refused_before_work(self, tmp_path, capsys, monkeypatch):
+        def must_not_run(*a, **k):
+            raise AssertionError("ran the identity suites")
+
+        monkeypatch.setattr(cli, "run_identity_suites", must_not_run)
+        p = tmp_path / "c.json"
+        p.write_text(json.dumps({"n_haar": cli.MAX_HAAR_SAMPLES + 1}))
+        out = tmp_path / "o"
+        assert main(["identity-suite", "--config", str(p), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ValueError:") and f"limit of {cli.MAX_HAAR_SAMPLES}" in err
+        assert "Traceback" not in err and not out.exists()
+
+    def test_haar_samples_at_the_limit_are_run(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "MAX_HAAR_SAMPLES", 2000)
+        p = tmp_path / "c.json"
+        p.write_text(json.dumps({"n_spectra": 5, "n_triples": 3, "n_haar": 2000}))
+        out = tmp_path / "o"
+        assert main(["identity-suite", "--config", str(p), "--out", str(out)]) == 0
+        assert (out / "identity_suite.json").exists()
 
     def test_failed_run_leaves_no_output_dir(self, tmp_path, capsys):
         out = tmp_path / "o"

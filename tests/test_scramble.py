@@ -16,6 +16,7 @@ from scramblescope.models import (
     draw_disorder,
 )
 from scramblescope.qhilbert import PAULI_X, SiteSubset, basis_state, partial_trace
+from scramblescope.shadows import MoMConfig
 from scramblescope.scramble import (
     ScrambleScenario,
     default_perturbation_site,
@@ -209,27 +210,25 @@ class TestExactChi2Pair:
 
 class TestShadowCurve:
     def test_tracks_exact_small_case(self):
-        s = scenario(
-            kind="TFIM", L=4, size=2, times=(0.0, 1.0), shots=1500, master_seed=5
-        )
-        rows = shadow_metric_curve(s)
+        s = scenario(kind="TFIM", L=4, size=2, times=(0.0, 1.0), master_seed=5)
+        rows = shadow_metric_curve(s, 1500, MoMConfig(10, 150))
         assert len(rows) == 2
         for r in rows:
             assert abs(r["chi2_shadow"] - r["chi2_exact"]) < 0.15
 
     def test_deterministic(self):
-        s = scenario(kind="TFIM", L=4, size=1, times=(0.5,), shots=400, master_seed=9)
-        a = shadow_metric_curve(s)
-        b = shadow_metric_curve(s)
+        s = scenario(kind="TFIM", L=4, size=1, times=(0.5,), master_seed=9)
+        a = shadow_metric_curve(s, 400, MoMConfig(10, 40))
+        b = shadow_metric_curve(s, 400, MoMConfig(10, 40))
         assert a == b
 
-    def test_requires_shots(self):
-        with pytest.raises(ValueError):
-            shadow_metric_curve(scenario(kind="TFIM", L=4))
+    def test_refuses_batches_past_the_shots_before_sampling(self, monkeypatch):
+        def must_not_sample(*a, **k):
+            raise AssertionError("sampled before the batches were checked")
 
-    def test_rejects_zero_batches(self):
-        with pytest.raises(ValueError, match="n_batches"):
-            scenario(kind="TFIM", L=4, shots=100, n_batches=0)
+        monkeypatch.setattr(scramble, "sample_shadow_set", must_not_sample)
+        with pytest.raises(ValueError, match="10 batches of 400 exceed 3000 shots"):
+            shadow_metric_curve(scenario(kind="TFIM", L=4), 3000, MoMConfig(10, 400))
 
 
 class TestMblCage:

@@ -364,17 +364,17 @@ class TestChi2Estimate:
             assert abs(est.overlap - oracle(a, b, sub, False)) <= 1e-12
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
-    def test_both_orders_give_the_same_bits(self, monkeypatch, k):
+    def test_both_orders_give_the_same_bits(self, k):
+        # Both orders return the (3, subsets, batches) pair sums T11, T22, T12.
         rng = np.random.default_rng(40 + k)
         a = sample_shadow_set(random_state(5, rng), 63, np.random.default_rng(41))
         b = sample_shadow_set(random_state(5, rng), 63, np.random.default_rng(42))
         subsets = [SiteSubset(c) for c in itertools.combinations(range(5), k)]
-        runs = []
-        for histogram in (True, False):
-            monkeypatch.setattr(shadows_module, "_histogram_order", lambda *_, h=histogram: h)
-            ests = chi2_estimate_many(a, b, subsets, MoMConfig(3, 20))
-            runs.append(np.array([[e.purity1, e.purity2, e.overlap] for e in ests]))
-        assert np.array_equal(runs[0], runs[1])
+        mom = MoMConfig(3, 20)
+        histogram = shadows_module._histogram_sums(a.codes, b.codes, subsets, mom)
+        pairs = shadows_module._pair_sums(a.codes, b.codes, subsets, mom)
+        assert histogram.shape == (3, len(subsets), 3)
+        assert np.array_equal(histogram, pairs)
 
     def test_mixed_sizes_match_pair_kernel_oracle_in_both_orders(self, monkeypatch):
         # In batches of 20 the cost rule takes the histogram for two sites and
