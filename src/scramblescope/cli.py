@@ -12,6 +12,7 @@ import argparse
 import hashlib
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass, field, fields
 from pathlib import Path
@@ -35,7 +36,7 @@ from .infotheory import (
     subentropy,
     von_neumann,
 )
-from .models import MBL_SEED_DEFAULT, MBL_W_DEFAULT, ModelSpec, draw_disorder
+from .models import MBL_SEED_DEFAULT, MBL_W_DEFAULT, ModelSpec, check_dense_length, draw_disorder
 from .qhilbert import DensityOperator, SiteSubset
 from .scramble import (
     MAX_TIME_STEPS,
@@ -199,12 +200,14 @@ def _model_spec(cfg: RunConfig, kind: str) -> ModelSpec:
 
 def _scenario(cfg: RunConfig, kind: str, metrics, policy=None) -> ScrambleScenario:
     """The command's scenario; a value it refuses is a usage error, before any
-    work. A time grid above MAX_TIME_STEPS is refused before it is built."""
+    work. A time grid above MAX_TIME_STEPS and a chain above the dense limit
+    are refused before anything of their size is built."""
+    if cfg.steps > MAX_TIME_STEPS:
+        raise ValueError(f"steps={cfg.steps} is above the time-grid limit of {MAX_TIME_STEPS}")
+    check_dense_length(cfg.length)
     site = cfg.site
     if site is None:
         site = default_perturbation_site(kind, cfg.length)
-    if cfg.steps > MAX_TIME_STEPS:
-        raise ValueError(f"steps={cfg.steps} is above the time-grid limit of {MAX_TIME_STEPS}")
     try:
         return ScrambleScenario(
             model=_model_spec(cfg, kind),
@@ -241,6 +244,25 @@ def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
+# Environment variables that set the BLAS thread count, echoed in manifests.
+_BLAS_THREAD_VARS = (
+    "OPENBLAS_NUM_THREADS",
+    "OMP_NUM_THREADS",
+    "MKL_NUM_THREADS",
+    "BLIS_NUM_THREADS",
+    "VECLIB_MAXIMUM_THREADS",
+)
+
+
+def _environment() -> dict:
+    """Interpreter, numpy and BLAS thread settings that produced a run."""
+    return {
+        "python": "{}.{}.{}".format(*sys.version_info[:3]),
+        "numpy": np.__version__,
+        "blas_thread_vars": {k: os.environ[k] for k in _BLAS_THREAD_VARS if k in os.environ},
+    }
+
+
 def _write_manifest(out_dir: Path, cfg: RunConfig, extra: dict, outputs) -> None:
     manifest = {
         "version": __version__,
@@ -248,6 +270,7 @@ def _write_manifest(out_dir: Path, cfg: RunConfig, extra: dict, outputs) -> None
         "config": {f.name: getattr(cfg, f.name) for f in fields(cfg)},
         "units": "nats",
         "outputs": {p.name: _sha256(p) for p in outputs},
+        "environment": _environment(),
     }
     manifest.update(extra)
     path = out_dir / "manifest.json"

@@ -53,7 +53,7 @@ def von_neumann(rho: DensityOperator) -> float:
     """-Tr(rho ln rho) in nats, with the 0 ln 0 := 0 convention."""
     w = rho.spectrum.values
     nz = w[w > 0.0]
-    return float(-np.sum(nz * np.log(nz)))
+    return float(-(nz * np.log(nz)).sum())
 
 
 def holevo_chi(e: Ensemble) -> float:
@@ -66,6 +66,18 @@ def holevo_chi(e: Ensemble) -> float:
 # gap-free forms (an integral and a divided-difference recurrence).
 
 
+def _subentropies(values: np.ndarray) -> list[float]:
+    """Subentropy of each row of a (k, d) stack of spectra.
+
+    All rows share one log1p/expm1 pass; each row then takes its own dot
+    product with the weights, since a stacked matrix-vector product may
+    round differently from the single-row one.
+    """
+    lam = values / values.sum(axis=1, keepdims=True)
+    d = _SUB_LOG1P_INV_S - np.log1p(lam[:, :, None] * _SUB_INV_S).sum(axis=1)
+    return [0.0 - float(g @ _SUB_W) for g in np.expm1(d)]  # a pure state gives +0.0
+
+
 def subentropy(spec: Spectrum) -> float:
     """Spectral lower bound on accessible information, in nats.
 
@@ -75,14 +87,15 @@ def subentropy(spec: Spectrum) -> float:
     which has no eigenvalue gaps in it. The integral is a trapezoid sum in
     u = ln s, with g(s) = s/(1+s) expm1(log1p(1/s) - sum_j log1p(l_j/s)).
     """
-    lam = spec.values / spec.values.sum()
-    d = _SUB_LOG1P_INV_S - np.log1p(np.outer(lam, _SUB_INV_S)).sum(axis=0)
-    return 0.0 - float(np.expm1(d) @ _SUB_W)  # a pure state gives +0.0, not -0.0
+    return _subentropies(spec.values[None])[0]
 
 
 def chi_q(e: Ensemble) -> float:
     """Subentropy of the average state minus the average member subentropy."""
-    return _mixing_gain(e, lambda rho: subentropy(rho.spectrum))
+    avg, first, second = _subentropies(
+        np.array([rho.spectrum.values for rho in (e.average, e.first, e.second)])
+    )
+    return avg - (0.5 * first + 0.5 * second)
 
 
 def q2_from_purity_value(p: float) -> float:
@@ -188,13 +201,20 @@ def _haar_unitaries(d: int, m: int, rng: np.random.Generator) -> np.ndarray:
     return q
 
 
+# The contraction order einsum's optimize=True picks for basis_moments at every
+# stack shape: U rho first, then that with conj(U). Passing it skips the search.
+_BASIS_MOMENTS_PATH = ["einsum_path", (0, 1), (0, 1)]
+
+
 def basis_moments(rho: DensityOperator, unitaries: np.ndarray) -> np.ndarray:
     """sum_j P(j)^2 with P(j) = <j|U rho U^dag|j>, for each U of an (N, d, d) stack.
 
     The measured basis vectors are the rows of each unitary.
     """
     u = unitaries
-    probs = np.einsum("nja,ab,njb->nj", u, rho.matrix, u.conj(), optimize=True).real
+    probs = np.einsum(
+        "nja,ab,njb->nj", u, rho.matrix, u.conj(), optimize=_BASIS_MOMENTS_PATH
+    ).real
     return np.sum(probs ** 2, axis=1)
 
 

@@ -37,6 +37,14 @@ def _check_length(kind: str, L: int) -> None:
         raise ValueError(f"{kind} needs L >= {MIN_SITES[kind]}, got {L}")
 
 
+def check_dense_length(L: int) -> None:
+    """Refuse a chain above MAX_DENSE_SITES, before anything of size L is built."""
+    if L > MAX_DENSE_SITES:
+        raise ValueError(
+            f"an L={L} chain exceeds the dense limit of {MAX_DENSE_SITES} sites"
+        )
+
+
 @dataclass(frozen=True)
 class DisorderRealization:
     """One draw of on-site disorder fields, from numpy's PCG64 generator."""
@@ -89,6 +97,7 @@ class ModelSpec:
         if self.kind not in MIN_SITES:
             raise ValueError(f"unknown model kind {self.kind!r}")
         _check_length(self.kind, self.n_sites)
+        check_dense_length(self.n_sites)
         for k, v in self.couplings.items():
             if not math.isfinite(float(v)):
                 raise ValueError(f"coupling {k} is not finite")
@@ -108,10 +117,7 @@ def _chain_sum(L: int, terms) -> HermitianOperator:
     column base|c for every setting `base` of the unlisted bits, where r and
     c set the term's own bits (site 0 is the most significant bit).
     """
-    if L > MAX_DENSE_SITES:
-        raise ValueError(
-            f"an L={L} chain exceeds the dense limit of {MAX_DENSE_SITES} sites"
-        )
+    check_dense_length(L)
     dim = 2 ** L
     h = np.zeros((dim, dim), dtype=complex)
     index = np.arange(dim)

@@ -10,6 +10,7 @@ All matrices are dense. Hamiltonians are refused above 13 sites
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -115,9 +116,9 @@ class DensityOperator:
         object.__setattr__(self, "matrix", m)
         if m.shape != (self.dim, self.dim):
             raise ValueError(f"matrix shape {m.shape} does not match dim {self.dim}")
-        if not np.max(np.abs(m - m.conj().T)) <= HERM_ATOL:
+        if not abs(m - m.conj().T).max() <= HERM_ATOL:  # NaN fails it
             raise ValueError("density matrix is not Hermitian")
-        tr = np.trace(m).real
+        tr = m.trace().real
         if not abs(tr - 1.0) <= HERM_ATOL:
             raise ValueError(f"density matrix trace {tr} != 1")
         object.__setattr__(self, "spectrum", Spectrum(np.linalg.eigvalsh(m)[::-1]))
@@ -135,7 +136,7 @@ class HermitianOperator:
         object.__setattr__(self, "matrix", m)
         if m.shape != (self.dim, self.dim):
             raise ValueError(f"matrix shape {m.shape} does not match dim {self.dim}")
-        if not np.max(np.abs(m - m.conj().T)) <= HERM_ATOL:
+        if not abs(m - m.conj().T).max() <= HERM_ATOL:
             raise ValueError("operator is not Hermitian")
 
 
@@ -154,31 +155,30 @@ class Spectrum:
         if v.ndim != 1 or v.size == 0:
             raise ValueError("spectrum must be a nonempty 1-D array")
         total = v.sum()
-        if not np.isfinite(total):  # any nan or inf entry makes the sum non-finite
+        if not math.isfinite(total):  # any nan or inf entry makes the sum non-finite
             raise ValueError(f"spectrum has non-finite values: {v}")
-        if np.any(np.diff(v) > 0):
+        if (v[1:] > v[:-1]).any():
             raise ValueError("spectrum must be sorted in descending order")
         if v[-1] < -EIG_ATOL or v[0] > 1.0 + EIG_ATOL:
             raise ValueError(f"eigenvalues outside [0, 1]: {v}")
         if abs(total - 1.0) > 1e-8:
             raise ValueError(f"spectrum sums to {total}, expected 1")
-        object.__setattr__(self, "values", np.clip(v, 0.0, None))
+        object.__setattr__(self, "values", np.maximum(v, 0.0))
 
 
 def partial_trace(state: StateVector, keep: SiteSubset) -> DensityOperator:
     """Reduced density matrix of a pure state on the kept sites."""
     keep.validate_for(state.n_sites)
-    n = state.n_sites
-    kept = list(keep.indices)
-    traced = [i for i in range(n) if i not in keep.indices]
-    tensor = state.amplitudes.reshape((2,) * n)
-    mat = tensor.transpose(kept + traced).reshape(2 ** len(kept), -1)
+    n, kept = state.n_sites, keep.indices
+    order = kept + tuple(i for i in range(n) if i not in kept)
+    d = 2 ** len(kept)
+    mat = state.amplitudes.reshape((2,) * n).transpose(order).reshape(d, -1)
     rho = mat @ mat.conj().T
     rho = 0.5 * (rho + rho.conj().T)
-    return DensityOperator(2 ** len(kept), rho)
+    return DensityOperator(d, rho)
 
 
 def purity(rho: DensityOperator) -> float:
     """Tr(rho^2) via the squared Frobenius norm (Hermitian shortcut)."""
-    return float(np.sum(np.abs(rho.matrix) ** 2))
+    return float((abs(rho.matrix) ** 2).sum())
 

@@ -31,8 +31,9 @@ from .shadows import MoMConfig, check_shadow_memory, chi2_estimate_many, sample_
 
 METRIC_NAMES = ("chi2", "holevo", "chi_q")
 POLICIES = ("windows_containing_x", "all_subsets")
-# Most subsets the all_subsets policy enumerates. shadow-curve enumerates them
-# before the 13-site dense limit refuses, so the cap is reachable from 17 sites.
+# Most subsets the all_subsets policy enumerates. A ModelSpec refuses a chain
+# above the 13-site dense limit, where C(13, 6) = 1716 subsets is the most of
+# any size; the cap holds the enumeration bounded should that limit be raised.
 SUBSET_CAP = 20000
 # Longest time grid a command builds. Its float64 times take 0.8 MB; each
 # time point then costs one evolution and one output row per subset and metric.

@@ -7,6 +7,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import scramblescope
@@ -168,6 +169,17 @@ class TestGridCommand:
         assert manifest["outputs"]["grid.csv"] == digest
         assert manifest["units"] == "nats"
         assert manifest["scenario"]["model"] == "TFIM"
+
+    def test_manifest_records_environment(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "3")
+        monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+        out = tmp_path / "o"
+        assert main(["grid", "--model", "tfim", "--length", "4", "--steps", "2", "--out", str(out)]) == 0
+        env = json.loads((out / "manifest.json").read_text())["environment"]
+        assert env["python"] == "{}.{}.{}".format(*sys.version_info[:3])
+        assert env["numpy"] == np.__version__
+        assert env["blas_thread_vars"]["OPENBLAS_NUM_THREADS"] == "3"
+        assert "OMP_NUM_THREADS" not in env["blas_thread_vars"]
 
     def test_json_format(self, tmp_path):
         out = tmp_path / "o"
@@ -344,6 +356,25 @@ class TestMainErrors:
         err = capsys.readouterr().err
         assert err.startswith("error: ValueError:") and "dense limit" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["grid", "--model", "tfim", "--steps", "1"],
+            ["clifford-verify", "--steps", "1"],
+            ["mbl-cage", "--steps", "1"],
+        ],
+    )
+    def test_huge_chain_is_refused_before_work(self, tmp_path, capsys, monkeypatch, args):
+        def must_not_build(*a, **k):
+            raise AssertionError("built the model before the dense-limit check")
+
+        monkeypatch.setattr(cli, "_model_spec", must_not_build)
+        out = tmp_path / "o"
+        assert main(args + ["--length", "3000000", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ValueError:") and "dense limit" in err
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "args",

@@ -1,5 +1,6 @@
 """Information metrics: closed-form anchors, independent oracles, properties."""
 
+import itertools
 import math
 import os
 import subprocess
@@ -14,8 +15,12 @@ from scipy.stats import unitary_group
 
 import scramblescope
 from scramblescope.infotheory import (
+    _SUB_INV_S,
+    _SUB_LOG1P_INV_S,
+    _SUB_W,
     Ensemble,
     _haar_unitaries,
+    _mixing_gain,
     chi2,
     chi2_from_purities,
     chi_q,
@@ -37,6 +42,13 @@ def pure_density(vec):
     v = np.asarray(vec, dtype=complex)
     v = v / np.linalg.norm(v)
     return DensityOperator(len(v), np.outer(v, v.conj()))
+
+
+def subentropy_one_spectrum(vals):
+    """The subentropy trapezoid sum for a single spectrum, with no stacking."""
+    lam = vals / vals.sum()
+    d = _SUB_LOG1P_INV_S - np.log1p(np.outer(lam, _SUB_INV_S)).sum(axis=0)
+    return 0.0 - float(np.expm1(d) @ _SUB_W)
 
 
 def subentropy_float_formula(vals):
@@ -171,6 +183,22 @@ class TestChiQ:
         rho = random_density(3, np.random.default_rng(3))
         e = Ensemble(rho, rho)
         assert abs(chi_q(e)) < 1e-9
+
+    @pytest.mark.parametrize("d", [2, 4, 8])
+    def test_one_pass_equals_per_member_form(self, d):
+        # chi_q takes its three spectra in one pass and subentropy is its
+        # one-row case; both must keep the bits of one integral per spectrum.
+        rng = np.random.default_rng(d)
+        members = [random_density(d, rng) for _ in range(5)]
+        members.append(pure_density(rng.normal(size=d) + 1j * rng.normal(size=d)))
+        members.append(DensityOperator(d, np.eye(d) / d))
+        doubled = np.repeat(rng.dirichlet(np.ones(max(d // 2, 1))), 2)[:d]
+        members.append(DensityOperator(d, np.diag(doubled / doubled.sum())))  # degenerate
+        for a, b in itertools.combinations(members, 2):
+            e = Ensemble(a, b)
+            assert chi_q(e) == _mixing_gain(e, lambda rho: subentropy(rho.spectrum))
+        for rho in members:
+            assert subentropy(rho.spectrum) == subentropy_one_spectrum(rho.spectrum.values)
 
 
 class TestQ2:

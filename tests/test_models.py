@@ -9,6 +9,7 @@ from scramblescope.models import (
     DisorderRealization,
     MFIM_G_DEFAULT,
     MFIM_H_DEFAULT,
+    MAX_DENSE_SITES,
     ModelSpec,
     PXP_PROJECTOR,
     build_hamiltonian,
@@ -215,6 +216,12 @@ class TestModelSpec:
             ModelSpec(kind, short)
         with pytest.raises(ValueError, match=message):
             builder(short)
+
+    @pytest.mark.parametrize("kind", ["TFIM", "MFIM", "PXP", "MBL"])
+    def test_spec_refuses_chain_above_dense_limit(self, kind):
+        # refused before anything of size L is built, for library callers too
+        with pytest.raises(ValueError, match="dense limit"):
+            ModelSpec(kind, MAX_DENSE_SITES + 1)
 
     def test_mbl_requires_matching_disorder(self):
         with pytest.raises(ValueError):
