@@ -20,10 +20,9 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .cliffordverify import MAX_SAMPLE_COUNT, clifford_convergence_experiment, summarize_convergence
+from .cliffordverify import clifford_convergence_experiment, summarize_convergence
 from .infotheory import (
     HAAR_MIN_SAMPLES,
-    MAX_HAAR_SAMPLES,
     Ensemble,
     chi2,
     haar_moment_mc,
@@ -39,7 +38,6 @@ from .infotheory import (
 from .models import MBL_SEED_DEFAULT, MBL_W_DEFAULT, ModelSpec, check_dense_length, draw_disorder
 from .qhilbert import DensityOperator, SiteSubset
 from .scramble import (
-    MAX_TIME_STEPS,
     METRIC_NAMES,
     ScrambleScenario,
     _cage_window,
@@ -54,6 +52,19 @@ from .shadows import MoMConfig
 COMMANDS = ("grid", "shadow-curve", "clifford-verify", "mbl-cage", "identity-suite")
 
 _MODEL_KINDS = {"tfim": "TFIM", "mfim": "MFIM", "pxp": "PXP", "mbl": "MBL"}
+
+# Longest time grid a command builds. Its float64 times take 0.8 MB; each
+# time point then costs one evolution and one output row per subset and metric.
+MAX_TIME_STEPS = 100_000
+# Most unitaries one clifford-verify purity estimate stacks. A C2 draw takes
+# about 4.4 us and its stack peaks at about 1.3 kB (the list of table rows
+# and the stacked copy), so one count at the cap takes about 6 s and 1.3 GB
+# per time and trial.
+MAX_SAMPLE_COUNT = 1_000_000
+# Most Haar samples identity-suite asks haar_moment_mc for. Each d takes
+# about 1.5 (d=2) and 3.5 (d=4) us and 16 bytes of stored moments per sample,
+# so the cap costs about 50 s and 160 MB.
+MAX_HAAR_SAMPLES = 10_000_000
 
 
 class UsageError(ValueError):
@@ -117,8 +128,9 @@ class RunConfig:
             raise UsageError("missing required field: shots")
         if self.model is not None and self.model.lower() not in _MODEL_KINDS:
             raise UsageError(f"unknown model {self.model!r}")
-        if self.length is not None and not 1 <= self.subsystem_size <= self.length:
-            raise UsageError(f"subsystem_size {self.subsystem_size} is not in [1, {self.length}]")
+        # An MBL chain draws its disorder before ModelSpec checks its length.
+        if self.length is not None and self.length < 1:
+            raise UsageError(f"length must be at least 1, got {self.length}")
         if self.command == "mbl-cage" and not 1 <= self.cage_length <= self.length:
             raise UsageError(f"cage_length {self.cage_length} is not in [1, {self.length}]")
         if self.command == "mbl-cage" and self.subsystem_size > self.cage_length:
@@ -134,9 +146,19 @@ class RunConfig:
             raise UsageError(f"n_haar must be at least {HAAR_MIN_SAMPLES}")
         if not self.sample_counts or min(self.sample_counts) < 1:
             raise UsageError("sample_counts must be a non-empty list of counts >= 1")
-        for key, values in (("metrics", self.metrics), ("sample_counts", self.sample_counts)):
-            if len(set(values)) != len(values):
-                raise UsageError(f"{key} has duplicate entries: {values}")
+        if len(set(self.sample_counts)) != len(self.sample_counts):
+            raise UsageError(f"sample_counts has duplicate entries: {self.sample_counts}")
+        # Size limits: refused with exit 1, before anything of their size is
+        # built. identity-suite builds no chain and no time grid.
+        if self.command == "identity-suite":
+            if self.n_haar > MAX_HAAR_SAMPLES:
+                raise ValueError(f"n_haar={self.n_haar} is above the Haar-sample limit of {MAX_HAAR_SAMPLES}")
+            return
+        if self.command == "clifford-verify" and max(self.sample_counts) > MAX_SAMPLE_COUNT:
+            raise ValueError(f"sample count {max(self.sample_counts)} is above the limit of {MAX_SAMPLE_COUNT}")
+        if self.steps > MAX_TIME_STEPS:
+            raise ValueError(f"steps={self.steps} is above the time-grid limit of {MAX_TIME_STEPS}")
+        check_dense_length(self.length)
 
 
 _FLAG_KEYS = (
@@ -199,12 +221,7 @@ def _model_spec(cfg: RunConfig, kind: str) -> ModelSpec:
 
 
 def _scenario(cfg: RunConfig, kind: str, metrics, policy=None) -> ScrambleScenario:
-    """The command's scenario; a value it refuses is a usage error, before any
-    work. A time grid above MAX_TIME_STEPS and a chain above the dense limit
-    are refused before anything of their size is built."""
-    if cfg.steps > MAX_TIME_STEPS:
-        raise ValueError(f"steps={cfg.steps} is above the time-grid limit of {MAX_TIME_STEPS}")
-    check_dense_length(cfg.length)
+    """The command's scenario; a value it refuses is a usage error, before any work."""
     site = cfg.site
     if site is None:
         site = default_perturbation_site(kind, cfg.length)
@@ -311,8 +328,6 @@ def _cmd_shadow_curve(cfg: RunConfig):
 
 
 def _cmd_clifford_verify(cfg: RunConfig):
-    if max(cfg.sample_counts) > MAX_SAMPLE_COUNT:
-        raise ValueError(f"sample count {max(cfg.sample_counts)} is above the limit of {MAX_SAMPLE_COUNT}")
     scenario = _scenario(cfg, "PXP", ("chi2",))
     rows = clifford_convergence_experiment(scenario, cfg.sample_counts, cfg.trials)
     tables = {
@@ -425,8 +440,6 @@ def run_identity_suites(seed: int, n_spectra: int, n_triples: int, n_haar: int) 
 
 def _cmd_identity_suite(cfg: RunConfig, out_dir: Path) -> None:
     """Write the identity report (always JSON) and its manifest."""
-    if cfg.n_haar > MAX_HAAR_SAMPLES:
-        raise ValueError(f"n_haar={cfg.n_haar} is above the Haar-sample limit of {MAX_HAAR_SAMPLES}")
     report = run_identity_suites(cfg.seed, cfg.n_spectra, cfg.n_triples, cfg.n_haar)
     out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / "identity_suite.json"

@@ -21,12 +21,6 @@ from .seeding import substream_rng
 
 _PHASE_TOL = 1e-10
 
-# Most unitaries one purity estimate of a command stacks. A C2 draw takes
-# about 4.4 us and its stack peaks at about 1.3 kB (the list of table rows
-# and the stacked copy), so one count at the cap takes about 6 s and 1.3 GB
-# per time and trial.
-MAX_SAMPLE_COUNT = 1_000_000
-
 
 def _phase_canonical(u: np.ndarray) -> np.ndarray:
     flat = u.reshape(-1)

@@ -223,10 +223,6 @@ _HAAR_CHUNK = 4096
 
 # Fewest Haar samples haar_moment_mc accepts for a stable estimate.
 HAAR_MIN_SAMPLES = 1000
-# Most Haar samples a command asks haar_moment_mc for. Each d takes about
-# 1.5 (d=2) and 3.5 (d=4) us and 16 bytes of stored moments per sample, so
-# the cap costs about 50 s and 160 MB.
-MAX_HAAR_SAMPLES = 10_000_000
 
 
 def haar_moment_mc(

@@ -24,12 +24,13 @@ BASIS_X, BASIS_Y, BASIS_Z = 0, 1, 2
 # state while it holds the first state's uint8 codes, the second's uint8 bases
 # and outcomes, and one float64 uniform and one float64 target per snapshot:
 # budgeted at 8 bytes per snapshot and site plus 16 per snapshot (tracemalloc
-# saw 35.6 bytes per snapshot at L=6 and 25.1 at L=2). The sampler's chunk, a
-# prefix table of at most _SAMPLE_AMPLITUDES amplitudes and its rows, peaked at
-# 68 bytes per amplitude for L = 1..13, budgeted at 96. The estimator holds
-# one histogram chunk, which peaked at 41 bytes per entry, budgeted at 48; a
-# subset size that takes the B x B order holds one float64 B x B kernel matrix
-# per measured site, and up to five more for the running product.
+# saw 35.6 bytes per snapshot at L=6 and 25.1 at L=2). The estimator holds
+# one histogram chunk, which peaked at 41 bytes per entry, budgeted at 48 for
+# the one unit that can outgrow _HISTOGRAM_ENTRIES; a subset size that takes
+# the B x B order holds one float64 B x B kernel matrix per measured site, and
+# up to five more for the running product. Fixed-size chunks are far below the
+# budget: the sampler's (68 bytes per amplitude at most, 17 MiB) and a
+# histogram chunk of several units (at most 12 MiB).
 MAX_SHADOW_BYTES = 2 ** 31
 
 # int64 basis draws per chunk of sample_shadow_set (512 KiB).
@@ -183,10 +184,10 @@ def check_shadow_memory(n_sites: int, n_snapshots: int, mom: MoMConfig, *subset_
     """Refuse a shadow budget whose arrays would exceed MAX_SHADOW_BYTES, for
     an estimator handed subsets of the given sizes."""
     b = mom.batch_size
-    need = [n_snapshots * (8 * n_sites + 16), 96 * _SAMPLE_AMPLITUDES]
+    need = [n_snapshots * (8 * n_sites + 16)]
     for k in subset_sizes:
         if _histogram_order(k, b):
-            need.append(48 * max(_HISTOGRAM_ENTRIES, b + 6 ** k))
+            need.append(48 * (b + 6 ** k))
         else:
             need.append(8 * b ** 2 * (n_sites + 5))
     if max(need) > MAX_SHADOW_BYTES:

@@ -58,11 +58,6 @@ class TestParseConfig:
         with pytest.raises(UsageError):
             parse_config(["shadow-curve", "--model", "pxp", "--length", "6"])
 
-    def test_rejects_subsystem_larger_than_chain(self):
-        with pytest.raises(UsageError):
-            parse_config(["grid", "--model", "tfim", "--length", "4",
-                          "--subsystem-size", "5"])
-
     def test_shots_flag_beats_file(self, tmp_path):
         p = tmp_path / "c.json"
         p.write_text(json.dumps({"model": "pxp", "length": 10, "shots": 1000}))
@@ -72,6 +67,25 @@ class TestParseConfig:
     def test_rejects_bad_format(self):
         with pytest.raises(UsageError):
             RunConfig(command="grid", model="tfim", length=4, format="xml")
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["grid", "--model", "tfim", "--length", "4", "--steps", "100001"],
+             "steps=100001 is above the time-grid limit of 100000"),
+            (["grid", "--model", "tfim", "--length", "14"], "an L=14 chain exceeds the dense limit of 13 sites"),
+            (["clifford-verify", "--length", "6"], "sample count 1000001 is above the limit of 1000000"),
+            (["identity-suite"], "n_haar=10000001 is above the Haar-sample limit of 10000000"),
+        ],
+        ids=["steps", "length", "sample_counts", "n_haar"],
+    )
+    def test_size_limits_are_refused_on_entry(self, tmp_path, argv, message):
+        # a size limit is a plain ValueError (exit 1), not a usage error
+        p = tmp_path / "c.json"
+        p.write_text(json.dumps({"sample_counts": [10, 1_000_001], "n_haar": 10_000_001}))
+        with pytest.raises(ValueError, match=f"^{message}$") as err:
+            parse_config([*argv, "--config", str(p)])
+        assert not isinstance(err.value, UsageError)
 
 
 class TestConfigTypes:
@@ -126,10 +140,29 @@ class TestConfigTypes:
             ("grid", {"model": "mfim", "length": 2}),
             ("clifford-verify", {"length": 2}),
             ("grid", {"metrics": []}),
+            ("grid", {"subsystem_size": 5}),
         ],
     )
     def test_bad_count_is_usage_error(self, tmp_path, capsys, command, bad):
         self._assert_usage_error(tmp_path, capsys, command, bad)
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["--model", "tfim", "--length", "1"], "TFIM needs L >= 2, got 1"),
+            (["--model", "pxp", "--length", "1"], "PXP needs L >= 3, got 1"),
+            (["--model", "mbl", "--length", "1"], "MBL needs L >= 2, got 1"),
+            (["--model", "tfim", "--length", "0"], "length must be at least 1, got 0"),
+            (["--model", "mbl", "--length", "-3"], "length must be at least 1, got -3"),
+            (["--model", "tfim", "--length", "4", "--subsystem-size", "5"], "subsystem size 5 is not in [1, 4]"),
+        ],
+        ids=["tfim-1", "pxp-1", "mbl-1", "tfim-0", "mbl-minus-3", "subsystem-5-of-4"],
+    )
+    def test_usage_message_names_the_faulty_value(self, tmp_path, capsys, args, message):
+        out = tmp_path / "o"
+        assert main(["grid", *args, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: usage: {message}\n"
+        assert not out.exists()
 
     @staticmethod
     def _assert_usage_error(tmp_path, capsys, command, bad):
@@ -363,6 +396,7 @@ class TestMainErrors:
             ["grid", "--model", "tfim", "--steps", "1"],
             ["clifford-verify", "--steps", "1"],
             ["mbl-cage", "--steps", "1"],
+            ["shadow-curve", "--model", "pxp", "--shots", "100", "--steps", "1"],
         ],
     )
     def test_huge_chain_is_refused_before_work(self, tmp_path, capsys, monkeypatch, args):
@@ -471,6 +505,15 @@ class TestMainErrors:
         p.write_text(json.dumps({"n_spectra": 5, "n_triples": 3, "n_haar": 2000}))
         out = tmp_path / "o"
         assert main(["identity-suite", "--config", str(p), "--out", str(out)]) == 0
+        assert (out / "identity_suite.json").exists()
+
+    def test_identity_suite_ignores_chain_limits(self, tmp_path):
+        # it builds no chain and no time grid, so length and steps are unread
+        p = tmp_path / "c.json"
+        p.write_text(json.dumps({"n_spectra": 5, "n_triples": 3, "n_haar": 1000}))
+        out = tmp_path / "o"
+        args = ["identity-suite", "--length", "99", "--steps", "1000000000", "--config", str(p)]
+        assert main([*args, "--out", str(out)]) == 0
         assert (out / "identity_suite.json").exists()
 
     def test_failed_run_leaves_no_output_dir(self, tmp_path, capsys):

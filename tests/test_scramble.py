@@ -129,12 +129,6 @@ class TestQualifyingSubsets:
         subs = qualifying_subsets(scenario(L=5, size=2, subset_policy="all_subsets"))
         assert len(subs) == 10
 
-    def test_cap_enforced(self, monkeypatch):
-        monkeypatch.setattr(scramble, "SUBSET_CAP", 10)
-        s = scenario(L=8, size=4, subset_policy="all_subsets")
-        with pytest.raises(RuntimeError):
-            qualifying_subsets(s)
-
 
 class TestExactGrid:
     def test_t0_anchor_all_models(self):
