@@ -36,7 +36,7 @@ from .infotheory import (
     von_neumann,
 )
 from .models import MBL_SEED_DEFAULT, MBL_W_DEFAULT, ModelSpec, check_dense_length, draw_disorder
-from .qhilbert import DensityOperator, SiteSubset
+from .qhilbert import DensityOperator, SiteSubset, purity
 from .scramble import (
     METRIC_NAMES,
     ScrambleScenario,
@@ -49,7 +49,18 @@ from .scramble import (
 from .seeding import substream_rng
 from .shadows import MoMConfig
 
-COMMANDS = ("grid", "shadow-curve", "clifford-verify", "mbl-cage", "identity-suite")
+# The settings each command reads, which its manifest records. The other fields
+# are still checked, but nothing the command does depends on them.
+_CHAIN = ("length", "subsystem_size", "site", "seed", "tmax", "steps", "format")
+_DISORDER = ("disorder_seed", "disorder_width")
+READS = {
+    "grid": ("model", *_CHAIN, *_DISORDER, "policy", "metrics"),
+    "shadow-curve": ("model", *_CHAIN, *_DISORDER, "shots", "batches"),
+    "clifford-verify": (*_CHAIN, "sample_counts", "trials"),
+    "mbl-cage": (*_CHAIN, *_DISORDER, "cage_length", "boundary_scale"),
+    "identity-suite": ("seed", "n_spectra", "n_triples", "n_haar"),
+}
+COMMANDS = tuple(READS)
 
 _MODEL_KINDS = {"tfim": "TFIM", "mfim": "MFIM", "pxp": "PXP", "mbl": "MBL"}
 
@@ -115,17 +126,14 @@ class RunConfig:
             value, kind = getattr(self, f.name), f.type.removesuffix(" | None")
             if not (value is None and kind != f.type or _type_ok(value, kind)):
                 raise UsageError(f"{f.name} must be of type {f.type}, got {value!r}")
-        if self.command not in COMMANDS:
+        if self.command not in READS:
             raise UsageError(f"unknown command {self.command!r}")
+        reads = READS[self.command]
         if self.format not in ("csv", "json"):
             raise UsageError(f"unknown format {self.format!r}")
-        needs_model = self.command in ("grid", "shadow-curve")
-        if needs_model and self.model is None:
-            raise UsageError("missing required field: model")
-        if self.command != "identity-suite" and self.length is None:
-            raise UsageError("missing required field: length")
-        if self.command == "shadow-curve" and self.shots is None:
-            raise UsageError("missing required field: shots")
+        for key in ("model", "length", "shots"):
+            if key in reads and getattr(self, key) is None:
+                raise UsageError(f"missing required field: {key}")
         if self.model is not None and self.model.lower() not in _MODEL_KINDS:
             raise UsageError(f"unknown model {self.model!r}")
         # An MBL chain draws its disorder before ModelSpec checks its length.
@@ -148,17 +156,16 @@ class RunConfig:
             raise UsageError("sample_counts must be a non-empty list of counts >= 1")
         if len(set(self.sample_counts)) != len(self.sample_counts):
             raise UsageError(f"sample_counts has duplicate entries: {self.sample_counts}")
-        # Size limits: refused with exit 1, before anything of their size is
-        # built. identity-suite builds no chain and no time grid.
-        if self.command == "identity-suite":
-            if self.n_haar > MAX_HAAR_SAMPLES:
-                raise ValueError(f"n_haar={self.n_haar} is above the Haar-sample limit of {MAX_HAAR_SAMPLES}")
-            return
-        if self.command == "clifford-verify" and max(self.sample_counts) > MAX_SAMPLE_COUNT:
+        # Size limits, on the settings the command reads: refused with exit 1,
+        # before anything of their size is built.
+        if "n_haar" in reads and self.n_haar > MAX_HAAR_SAMPLES:
+            raise ValueError(f"n_haar={self.n_haar} is above the Haar-sample limit of {MAX_HAAR_SAMPLES}")
+        if "sample_counts" in reads and max(self.sample_counts) > MAX_SAMPLE_COUNT:
             raise ValueError(f"sample count {max(self.sample_counts)} is above the limit of {MAX_SAMPLE_COUNT}")
-        if self.steps > MAX_TIME_STEPS:
+        if "steps" in reads and self.steps > MAX_TIME_STEPS:
             raise ValueError(f"steps={self.steps} is above the time-grid limit of {MAX_TIME_STEPS}")
-        check_dense_length(self.length)
+        if "length" in reads:
+            check_dense_length(self.length)
 
 
 _FLAG_KEYS = (
@@ -220,8 +227,12 @@ def _model_spec(cfg: RunConfig, kind: str) -> ModelSpec:
     )
 
 
-def _scenario(cfg: RunConfig, kind: str, metrics, policy=None) -> ScrambleScenario:
-    """The command's scenario; a value it refuses is a usage error, before any work."""
+def _scenario(cfg: RunConfig, kind: str, **choices) -> ScrambleScenario:
+    """The command's scenario; a value it refuses is a usage error, before any work.
+
+    choices: the scenario's metrics and subset_policy, where the command sets
+    them; otherwise the scenario's defaults hold.
+    """
     site = cfg.site
     if site is None:
         site = default_perturbation_site(kind, cfg.length)
@@ -232,9 +243,8 @@ def _scenario(cfg: RunConfig, kind: str, metrics, policy=None) -> ScrambleScenar
             perturbation_site=site,
             subsystem_size=cfg.subsystem_size,
             time_grid=np.linspace(0.0, cfg.tmax, cfg.steps),
-            subset_policy=policy if policy is not None else cfg.policy,
-            metrics=tuple(metrics),
             master_seed=cfg.seed,
+            **choices,
         )
     except ValueError as err:
         raise UsageError(str(err)) from None
@@ -284,7 +294,7 @@ def _write_manifest(out_dir: Path, cfg: RunConfig, extra: dict, outputs) -> None
     manifest = {
         "version": __version__,
         "command": cfg.command,
-        "config": {f.name: getattr(cfg, f.name) for f in fields(cfg)},
+        "config": {key: getattr(cfg, key) for key in READS[cfg.command]},
         "units": "nats",
         "outputs": {p.name: _sha256(p) for p in outputs},
         "environment": _environment(),
@@ -301,7 +311,7 @@ def _write_manifest(out_dir: Path, cfg: RunConfig, extra: dict, outputs) -> None
 
 def _cmd_grid(cfg: RunConfig):
     kind = _MODEL_KINDS[cfg.model.lower()]
-    scenario = _scenario(cfg, kind, cfg.metrics)
+    scenario = _scenario(cfg, kind, metrics=cfg.metrics, subset_policy=cfg.policy)
     result = exact_metric_grid(scenario)
     rows = [
         {"metric": metric, "t": float(t), "x": int(x), "value": float(result.values[mi, ti, ci])}
@@ -318,7 +328,7 @@ def _cmd_shadow_curve(cfg: RunConfig):
     except ValueError as err:
         raise UsageError(f"shots={cfg.shots}, batches={cfg.batches}: {err}") from None
     kind = _MODEL_KINDS[cfg.model.lower()]
-    scenario = _scenario(cfg, kind, ("chi2",), policy="all_subsets")
+    scenario = _scenario(cfg, kind, subset_policy="all_subsets")
     rows = shadow_metric_curve(scenario, cfg.shots, mom)
     header = ("t", "L_A", "chi2_shadow", "chi2_exact")
     # The shots % batches remainder is sampled but falls outside every batch.
@@ -328,7 +338,7 @@ def _cmd_shadow_curve(cfg: RunConfig):
 
 
 def _cmd_clifford_verify(cfg: RunConfig):
-    scenario = _scenario(cfg, "PXP", ("chi2",))
+    scenario = _scenario(cfg, "PXP")
     rows = clifford_convergence_experiment(scenario, cfg.sample_counts, cfg.trials)
     tables = {
         "clifford_verify": (("t", "L_A", "N", "trial", "chi2_est", "chi2_exact"), rows),
@@ -341,7 +351,7 @@ def _cmd_clifford_verify(cfg: RunConfig):
 
 
 def _cmd_mbl_cage(cfg: RunConfig):
-    scenario = _scenario(cfg, "MBL", ("chi2",))
+    scenario = _scenario(cfg, "MBL")
     # Around the perturbation site, shifted to fit inside the chain.
     chain = SiteSubset(range(cfg.length))
     cage = _cage_window(chain, scenario.perturbation_site, cfg.cage_length)
@@ -401,7 +411,7 @@ def run_identity_suites(seed: int, n_spectra: int, n_triples: int, n_haar: int) 
     for d in (2, 4):
         rho = random_density(d, rng)
         moments = haar_moment_mc(rho, n_haar, rng)
-        p = float(np.sum(np.abs(rho.matrix) ** 2))
+        p = purity(rho)
         expect_marginal = (p + 1.0) / (d + 1.0)
         expect_pure = 2.0 / (d + 1.0)
         dev_m = abs(moments.marginal - expect_marginal)

@@ -16,7 +16,7 @@ import numpy as np
 from .infotheory import Ensemble, basis_moments, chi2_from_purities
 from .models import build_hamiltonian
 from .qhilbert import DensityOperator, HADAMARD, PAULI_I, PHASE_S, SiteSubset, partial_trace
-from .scramble import ScrambleScenario, _trajectory, exact_chi2_pair, prepare_ensemble
+from .scramble import ScrambleScenario, _cage_window, _trajectory, exact_chi2_pair, prepare_ensemble
 from .seeding import substream_rng
 
 _PHASE_TOL = 1e-10
@@ -105,15 +105,6 @@ def purity_from_basis_sampling(rho_A: DensityOperator, unitaries) -> float:
     return (d + 1) * (float(np.cumsum(moments)[-1]) / len(stack)) - 1.0
 
 
-def _scenario_subsystem(s: ScrambleScenario) -> SiteSubset:
-    site, L = s.perturbation_site, s.model.n_sites
-    if s.subsystem_size == 1:
-        return SiteSubset([site])
-    if site + 1 < L:
-        return SiteSubset([site, site + 1])
-    return SiteSubset([site - 1, site])
-
-
 def clifford_convergence_experiment(
     s: ScrambleScenario,
     sample_counts,
@@ -132,8 +123,10 @@ def clifford_convergence_experiment(
         raise ValueError("sampled subsystems of size 1 or 2 only")
     if len(set(sample_counts)) != len(sample_counts):
         raise ValueError(f"duplicate sample counts in {sample_counts}")
-    subset = _scenario_subsystem(s)
-    d = 2 ** len(subset)
+    # the perturbation site and, at size 2, its right neighbour, shifted inside the chain
+    size = s.subsystem_size
+    subset = _cage_window(SiteSubset(range(s.model.n_sites)), s.perturbation_site + size // 2, size)
+    d = 2 ** size
     states = _trajectory(build_hamiltonian(s.model), prepare_ensemble(s), s.time_grid)
     c1 = np.array(enumerate_c1()) if s.subsystem_size == 1 else None
     rows = []

@@ -100,31 +100,6 @@ class SiteSubset:
 
 
 @dataclass(frozen=True)
-class DensityOperator:
-    """Hermitian, unit-trace, positive-semidefinite operator on a subsystem.
-
-    Its spectrum is built at construction, and building it is the
-    positivity check.
-    """
-
-    dim: int
-    matrix: np.ndarray
-    spectrum: Spectrum = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        m = _as_complex_array(self.matrix)
-        object.__setattr__(self, "matrix", m)
-        if m.shape != (self.dim, self.dim):
-            raise ValueError(f"matrix shape {m.shape} does not match dim {self.dim}")
-        if not abs(m - m.conj().T).max() <= HERM_ATOL:  # NaN fails it
-            raise ValueError("density matrix is not Hermitian")
-        tr = m.trace().real
-        if not abs(tr - 1.0) <= HERM_ATOL:
-            raise ValueError(f"density matrix trace {tr} != 1")
-        object.__setattr__(self, "spectrum", Spectrum(np.linalg.eigvalsh(m)[::-1]))
-
-
-@dataclass(frozen=True)
 class HermitianOperator:
     """Hermitian operator on a dim-dimensional space."""
 
@@ -136,8 +111,26 @@ class HermitianOperator:
         object.__setattr__(self, "matrix", m)
         if m.shape != (self.dim, self.dim):
             raise ValueError(f"matrix shape {m.shape} does not match dim {self.dim}")
-        if not abs(m - m.conj().T).max() <= HERM_ATOL:
+        if not abs(m - m.conj().T).max() <= HERM_ATOL:  # NaN fails it
             raise ValueError("operator is not Hermitian")
+
+
+@dataclass(frozen=True)
+class DensityOperator(HermitianOperator):
+    """Hermitian, unit-trace, positive-semidefinite operator on a subsystem.
+
+    Its spectrum is built at construction, and building it is the
+    positivity check.
+    """
+
+    spectrum: Spectrum = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        super().__post_init__()
+        tr = self.matrix.trace().real
+        if not abs(tr - 1.0) <= HERM_ATOL:
+            raise ValueError(f"density matrix trace {tr} != 1")
+        object.__setattr__(self, "spectrum", Spectrum(np.linalg.eigvalsh(self.matrix)[::-1]))
 
 
 @dataclass(frozen=True)

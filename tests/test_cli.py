@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +13,7 @@ import pytest
 
 import scramblescope
 
-from scramblescope import cli, scramble
+from scramblescope import cli, cliffordverify, scramble
 from scramblescope.cli import RunConfig, UsageError, main, parse_config, run, run_identity_suites
 from scramblescope.shadows import MoMConfig
 
@@ -305,16 +306,46 @@ class TestShadowCurveCommand:
     ids=lambda args: args[0],
 )
 def test_manifest_scenario_records_no_shot_budget(tmp_path, args):
-    # The shot budget is the shadow-curve command's, not the scenario's: the
-    # config echo keeps shots and batches, and shadow-curve records the
-    # snapshots its batches used.
+    # The shot budget is the shadow-curve command's, not the scenario's: only
+    # its config records shots and batches, and it records the snapshots its
+    # batches used.
     out = tmp_path / "o"
     assert main([*args, "--out", str(out)]) == 0
     manifest = json.loads((out / "manifest.json").read_text())
     assert "shots" not in manifest["scenario"] and "n_batches" not in manifest["scenario"]
-    assert {"shots", "batches"} <= manifest["config"].keys()
+    assert manifest["config"].keys() == set(cli.READS[args[0]])
     if args[0] == "shadow-curve":
+        assert {"shots", "batches"} <= manifest["config"].keys()
         assert manifest["snapshots_used_per_state"] == 3000
+    else:
+        assert not {"shots", "batches"} & manifest["config"].keys()
+
+
+def test_manifest_config_omits_settings_the_command_does_not_read(tmp_path):
+    # shadow-curve runs chi2 over all subsets, whatever metrics and policy say
+    p = tmp_path / "c.json"
+    p.write_text(json.dumps({"metrics": ["foo"], "policy": "windows_containing_x"}))
+    out = tmp_path / "o"
+    args = ["shadow-curve", "--model", "pxp", "--length", "6", "--shots", "40", "--steps", "2"]
+    assert main([*args, "--config", str(p), "--out", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert not {"metrics", "policy", "out", "command"} & manifest["config"].keys()
+    assert manifest["scenario"]["metrics"] == ["chi2"]
+    assert manifest["scenario"]["subset_policy"] == "all_subsets"
+
+
+def test_identity_suite_manifest_records_its_sample_sizes(tmp_path):
+    p = tmp_path / "c.json"
+    p.write_text(json.dumps({"n_spectra": 5, "n_triples": 3, "n_haar": 1000}))
+    out = tmp_path / "o"
+    assert main(["identity-suite", "--config", str(p), "--seed", "2", "--out", str(out)]) == 0
+    config = json.loads((out / "manifest.json").read_text())["config"]
+    assert config == {"seed": 2, "n_spectra": 5, "n_triples": 3, "n_haar": 1000}
+
+
+def test_every_setting_is_read_by_some_command():
+    read = {key for keys in cli.READS.values() for key in keys}
+    assert read == {f.name for f in fields(RunConfig)} - {"command", "out"}
 
 
 class TestMblCageCommand:
@@ -353,6 +384,15 @@ class TestCliffordVerifyCommand:
         assert lines[0] == "t,L_A,N,trial,chi2_est,chi2_exact"
         assert len(lines) == 1 + 2 * 2  # 2 times x 1 N x 2 trials
         assert (out / "clifford_summary.csv").exists()
+
+    def test_site_at_the_right_edge_shifts_the_pair_inside(self, tmp_path, monkeypatch):
+        kept, real = [], cliffordverify.partial_trace
+        monkeypatch.setattr(
+            cliffordverify, "partial_trace", lambda psi, keep: kept.append(keep.indices) or real(psi, keep)
+        )
+        args = ["clifford-verify", "--length", "5", "--site", "4", "--steps", "2"]
+        assert main([*args, "--out", str(tmp_path / "o")]) == 0
+        assert set(kept) == {(3, 4)}
 
 
 class TestIdentitySuiteCommand:

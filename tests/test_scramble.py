@@ -97,7 +97,7 @@ class TestDefaults:
     def test_time_grid(self):
         # the grid the CLI builds from its default tmax and steps
         cfg = cli.RunConfig(command="grid", model="tfim", length=4)
-        g = cli._scenario(cfg, "TFIM", ("chi2",)).time_grid
+        g = cli._scenario(cfg, "TFIM").time_grid
         assert g[0] == 0.0 and g[-1] == 30.0 and len(g) == 301
 
     def test_pxp_site_is_active(self):
