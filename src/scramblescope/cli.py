@@ -41,6 +41,7 @@ from .scramble import (
     METRIC_NAMES,
     ScrambleScenario,
     _cage_window,
+    check_grid_choices,
     default_perturbation_site,
     exact_metric_grid,
     mbl_cage_compare,
@@ -51,12 +52,12 @@ from .shadows import MoMConfig
 
 # The settings each command reads, which its manifest records. The other fields
 # are still checked, but nothing the command does depends on them.
-_CHAIN = ("length", "subsystem_size", "site", "seed", "tmax", "steps", "format")
+_CHAIN = ("length", "subsystem_size", "site", "tmax", "steps", "format")
 _DISORDER = ("disorder_seed", "disorder_width")
 READS = {
     "grid": ("model", *_CHAIN, *_DISORDER, "policy", "metrics"),
-    "shadow-curve": ("model", *_CHAIN, *_DISORDER, "shots", "batches"),
-    "clifford-verify": (*_CHAIN, "sample_counts", "trials"),
+    "shadow-curve": ("model", *_CHAIN, *_DISORDER, "seed", "shots", "batches"),
+    "clifford-verify": (*_CHAIN, "seed", "sample_counts", "trials"),
     "mbl-cage": (*_CHAIN, *_DISORDER, "cage_length", "boundary_scale"),
     "identity-suite": ("seed", "n_spectra", "n_triples", "n_haar"),
 }
@@ -166,6 +167,11 @@ class RunConfig:
             raise ValueError(f"steps={self.steps} is above the time-grid limit of {MAX_TIME_STEPS}")
         if "length" in reads:
             check_dense_length(self.length)
+        if "metrics" in reads:
+            try:
+                check_grid_choices(self.metrics, self.policy)
+            except ValueError as err:
+                raise UsageError(str(err)) from None
 
 
 _FLAG_KEYS = (
@@ -227,24 +233,17 @@ def _model_spec(cfg: RunConfig, kind: str) -> ModelSpec:
     )
 
 
-def _scenario(cfg: RunConfig, kind: str, **choices) -> ScrambleScenario:
-    """The command's scenario; a value it refuses is a usage error, before any work.
-
-    choices: the scenario's metrics and subset_policy, where the command sets
-    them; otherwise the scenario's defaults hold.
-    """
+def _scenario(cfg: RunConfig, kind: str) -> ScrambleScenario:
+    """The command's scenario; a value it refuses is a usage error, before any work."""
     site = cfg.site
     if site is None:
         site = default_perturbation_site(kind, cfg.length)
     try:
         return ScrambleScenario(
             model=_model_spec(cfg, kind),
-            initial_kind="neel" if kind in ("PXP", "MBL") else "polarized",
             perturbation_site=site,
             subsystem_size=cfg.subsystem_size,
             time_grid=np.linspace(0.0, cfg.tmax, cfg.steps),
-            master_seed=cfg.seed,
-            **choices,
         )
     except ValueError as err:
         raise UsageError(str(err)) from None
@@ -291,10 +290,13 @@ def _environment() -> dict:
 
 
 def _write_manifest(out_dir: Path, cfg: RunConfig, extra: dict, outputs) -> None:
+    reads = READS[cfg.command]
+    if "disorder" not in extra.get("scenario", {}):  # only an MBL chain draws disorder
+        reads = [key for key in reads if key not in _DISORDER]
     manifest = {
         "version": __version__,
         "command": cfg.command,
-        "config": {key: getattr(cfg, key) for key in READS[cfg.command]},
+        "config": {key: getattr(cfg, key) for key in reads},
         "units": "nats",
         "outputs": {p.name: _sha256(p) for p in outputs},
         "environment": _environment(),
@@ -311,8 +313,8 @@ def _write_manifest(out_dir: Path, cfg: RunConfig, extra: dict, outputs) -> None
 
 def _cmd_grid(cfg: RunConfig):
     kind = _MODEL_KINDS[cfg.model.lower()]
-    scenario = _scenario(cfg, kind, metrics=cfg.metrics, subset_policy=cfg.policy)
-    result = exact_metric_grid(scenario)
+    scenario = _scenario(cfg, kind)
+    result = exact_metric_grid(scenario, cfg.metrics, cfg.policy)
     rows = [
         {"metric": metric, "t": float(t), "x": int(x), "value": float(result.values[mi, ti, ci])}
         for mi, metric in enumerate(result.metrics)
@@ -328,8 +330,8 @@ def _cmd_shadow_curve(cfg: RunConfig):
     except ValueError as err:
         raise UsageError(f"shots={cfg.shots}, batches={cfg.batches}: {err}") from None
     kind = _MODEL_KINDS[cfg.model.lower()]
-    scenario = _scenario(cfg, kind, subset_policy="all_subsets")
-    rows = shadow_metric_curve(scenario, cfg.shots, mom)
+    scenario = _scenario(cfg, kind)
+    rows = shadow_metric_curve(scenario, cfg.shots, mom, seed=cfg.seed)
     header = ("t", "L_A", "chi2_shadow", "chi2_exact")
     # The shots % batches remainder is sampled but falls outside every batch.
     used = mom.n_batches * mom.batch_size
@@ -339,7 +341,7 @@ def _cmd_shadow_curve(cfg: RunConfig):
 
 def _cmd_clifford_verify(cfg: RunConfig):
     scenario = _scenario(cfg, "PXP")
-    rows = clifford_convergence_experiment(scenario, cfg.sample_counts, cfg.trials)
+    rows = clifford_convergence_experiment(scenario, cfg.sample_counts, cfg.trials, cfg.seed)
     tables = {
         "clifford_verify": (("t", "L_A", "N", "trial", "chi2_est", "chi2_exact"), rows),
         "clifford_summary": (

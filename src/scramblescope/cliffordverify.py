@@ -109,13 +109,15 @@ def clifford_convergence_experiment(
     s: ScrambleScenario,
     sample_counts,
     n_trials: int,
+    seed: int = 0,
 ) -> list[dict]:
     """Sampled-chi2 convergence table for the scar-model scenario.
 
     For each time, trial and sample count N, the three subsystem purities are
     reconstructed from N sampled unitaries (uniform over the 24 elements of C1
     for one-site subsystems, over the 11,520 of C2 for two-site ones), then
-    combined into chi2. Rows: (t, L_A, N, trial, chi2_est, chi2_exact).
+    combined into chi2. Every draw comes from a substream of seed. Rows:
+    (t, L_A, N, trial, chi2_est, chi2_exact).
     """
     if s.model.kind != "PXP":
         raise ValueError("the convergence experiment targets the PXP scenario")
@@ -137,9 +139,7 @@ def clifford_convergence_experiment(
         exact = max(exact_chi2_pair(rho1, rho2), 0.0)
         for n_samples in sample_counts:
             for trial in range(n_trials):
-                rng = substream_rng(
-                    s.master_seed, f"clifford:t={ti}:N={n_samples}", trial
-                )
+                rng = substream_rng(seed, f"clifford:t={ti}:N={n_samples}", trial)
                 if s.subsystem_size == 1:
                     unitaries = c1[rng.integers(0, 24, size=n_samples)]
                 else:

@@ -1,7 +1,7 @@
 """Experiment orchestration: two-member ensembles swept over time and space.
 
-A scenario fixes a model, an initial product state, a single-site flip
-perturbation, a subsystem size, and a time grid. The exact grids and the
+A scenario fixes a model, a single-site flip perturbation of the model's
+product state, a subsystem size, and a time grid. The exact grids and the
 shadow-estimated curves below are the data behind the package's heatmap and
 tracking experiments.
 """
@@ -13,7 +13,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import __version__ as _version
 from .evolve import evolve, make_propagator
 from .infotheory import Ensemble, chi2_from_purities, chi_q, holevo_chi
 from .models import ModelSpec, build_hamiltonian
@@ -42,45 +41,27 @@ def default_perturbation_site(kind: str, n_sites: int) -> int:
 
 @dataclass(frozen=True)
 class ScrambleScenario:
-    """Full description of one scrambling experiment."""
+    """The model, its flipped site, the subsystem size and the time grid."""
 
     model: ModelSpec
-    initial_kind: str
     perturbation_site: int
     subsystem_size: int
     time_grid: np.ndarray
-    subset_policy: str = "windows_containing_x"
-    metrics: tuple = ("chi2",)
-    master_seed: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "metrics", tuple(self.metrics))
         grid = np.asarray(self.time_grid, dtype=float)
         object.__setattr__(self, "time_grid", grid)
         L = self.model.n_sites
-        if self.initial_kind not in ("polarized", "neel"):
-            raise ValueError(f"unknown initial state kind {self.initial_kind!r}")
         if not 0 <= self.perturbation_site < L:
             raise ValueError(f"perturbation site {self.perturbation_site} out of range")
-        if self.model.kind == "PXP":
-            if self.initial_kind != "neel":
-                raise ValueError("PXP scenarios must start from the Neel state")
-            if _initial_bits("neel", L)[self.perturbation_site] != 0:
-                raise ValueError(
-                    "PXP perturbation must de-excite an active (spin-up) site; "
-                    f"site {self.perturbation_site} is inactive and the flip would "
-                    "exit the blockade-respecting subspace"
-                )
+        if self.model.kind == "PXP" and _initial_bits("PXP", L)[self.perturbation_site] != 0:
+            raise ValueError(
+                "PXP perturbation must de-excite an active (spin-up) site; "
+                f"site {self.perturbation_site} is inactive and the flip would "
+                "exit the blockade-respecting subspace"
+            )
         if not 1 <= self.subsystem_size <= L:
             raise ValueError(f"subsystem size {self.subsystem_size} is not in [1, {L}]")
-        if self.subset_policy not in POLICIES:
-            raise ValueError(f"unknown subset policy {self.subset_policy!r}")
-        if not self.metrics:
-            raise ValueError("scenario requests no metrics")
-        if any(m not in METRIC_NAMES for m in self.metrics):
-            raise ValueError(f"unknown metric in {self.metrics}")
-        if len(set(self.metrics)) != len(self.metrics):
-            raise ValueError(f"duplicate metric in {self.metrics}")
         # Written so that NaN fails them.
         if grid.ndim != 1 or grid.size == 0 or not grid[0] >= 0:
             raise ValueError("time grid must be 1-D and start at t >= 0")
@@ -95,19 +76,26 @@ class ScrambleScenario:
             "model": self.model.kind,
             "n_sites": self.model.n_sites,
             "couplings": dict(self.model.couplings),
-            "initial_kind": self.initial_kind,
             "perturbation_site": self.perturbation_site,
             "subsystem_size": self.subsystem_size,
-            "subset_policy": self.subset_policy,
-            "metrics": list(self.metrics),
             "time_grid": [float(t) for t in self.time_grid],
-            "master_seed": self.master_seed,
-            "units": "nats",
-            "version": _version,
         }
         if self.model.disorder is not None:
             d["disorder"] = self.model.disorder.echo()
         return d
+
+
+def check_grid_choices(metrics, policy: str) -> None:
+    """Refuse metrics or a subset policy that exact_metric_grid cannot run."""
+    metrics = tuple(metrics)
+    if policy not in POLICIES:
+        raise ValueError(f"unknown subset policy {policy!r}")
+    if not metrics:
+        raise ValueError("no metrics requested")
+    if any(m not in METRIC_NAMES for m in metrics):
+        raise ValueError(f"unknown metric in {metrics}")
+    if len(set(metrics)) != len(metrics):
+        raise ValueError(f"duplicate metric in {metrics}")
 
 
 @dataclass(frozen=True)
@@ -121,14 +109,15 @@ class GridResult:
 
 
 def _initial_bits(kind: str, n_sites: int) -> list[int]:
-    if kind == "polarized":
-        return [0] * n_sites
-    return [i % 2 for i in range(n_sites)]
+    """The model's product state: Neel for PXP and MBL, all spins up otherwise."""
+    if kind in ("PXP", "MBL"):
+        return [i % 2 for i in range(n_sites)]
+    return [0] * n_sites
 
 
 def prepare_ensemble(s: ScrambleScenario) -> tuple[StateVector, StateVector]:
-    """Unperturbed product state and its single-site flip."""
-    return _flip_pair(_initial_bits(s.initial_kind, s.model.n_sites), s.perturbation_site)
+    """The model's product state and its single-site flip."""
+    return _flip_pair(_initial_bits(s.model.kind, s.model.n_sites), s.perturbation_site)
 
 
 def _flip_pair(bits, site: int) -> tuple[StateVector, StateVector]:
@@ -146,10 +135,9 @@ def _trajectory(h, pair, time_grid):
         yield evolve(prop, pair[0], t), evolve(prop, pair[1], t)
 
 
-def qualifying_subsets(s: ScrambleScenario) -> list[SiteSubset]:
-    """Distinct subsets the scenario's policy sweeps over."""
-    L, k = s.model.n_sites, s.subsystem_size
-    if s.subset_policy == "windows_containing_x":
+def qualifying_subsets(L: int, k: int, policy: str) -> list[SiteSubset]:
+    """Distinct size-k subsets of an L-site chain that the policy sweeps over."""
+    if policy == "windows_containing_x":
         return [SiteSubset(range(x0, x0 + k)) for x0 in range(L - k + 1)]
     return [SiteSubset(c) for c in itertools.combinations(range(L), k)]
 
@@ -175,17 +163,21 @@ def _subset_metrics(pair, subset: SiteSubset, metrics) -> dict:
     return out
 
 
-def exact_metric_grid(s: ScrambleScenario) -> GridResult:
-    """Evaluate the requested metrics on the full (time x site) grid.
+def exact_metric_grid(
+    s: ScrambleScenario, metrics=("chi2",), policy: str = "windows_containing_x"
+) -> GridResult:
+    """Evaluate the metrics on the full (time x site) grid.
 
     With the windows policy, the value at site x is the maximum over all
     contiguous subsystem windows containing x; with all_subsets, a single
     column holds the global maximum over every size-L_A subset.
     """
+    metrics = tuple(metrics)
+    check_grid_choices(metrics, policy)
     states = _trajectory(build_hamiltonian(s.model), prepare_ensemble(s), s.time_grid)
-    subsets = qualifying_subsets(s)
     L = s.model.n_sites
-    if s.subset_policy == "windows_containing_x":
+    subsets = qualifying_subsets(L, s.subsystem_size, policy)
+    if policy == "windows_containing_x":
         sites = tuple(range(L))
         owners = [
             [j for j, sub in enumerate(subsets) if x in sub.indices] for x in range(L)
@@ -193,46 +185,45 @@ def exact_metric_grid(s: ScrambleScenario) -> GridResult:
     else:
         sites = (0,)
         owners = [list(range(len(subsets)))]
-    values = np.zeros((len(s.metrics), len(s.time_grid), len(sites)))
+    values = np.zeros((len(metrics), len(s.time_grid), len(sites)))
     for ti, pair in enumerate(states):
-        per_subset = [_subset_metrics(pair, sub, s.metrics) for sub in subsets]
-        for mi, metric in enumerate(s.metrics):
+        per_subset = [_subset_metrics(pair, sub, metrics) for sub in subsets]
+        for mi, metric in enumerate(metrics):
             vals = np.array([pm[metric] for pm in per_subset])
             for ci, owner in enumerate(owners):
                 values[mi, ti, ci] = np.max(vals[owner])
     values = np.maximum(values, 0.0)
     return GridResult(
         values=values,
-        metrics=s.metrics,
+        metrics=metrics,
         time_grid=s.time_grid,
         sites=sites,
     )
 
 
 def shadow_metric_curve(
-    s: ScrambleScenario, shots: int, mom: MoMConfig, subsystem_sizes=None
+    s: ScrambleScenario, shots: int, mom: MoMConfig, subsystem_sizes=None, *, seed: int = 0
 ) -> list[dict]:
     """Shadow-estimated and exact maximal chi2 along the time grid.
 
     At each time a fresh pair of shots-snapshot shadow sets is generated,
     and mom's batches take the first of them; each requested subsystem size
-    reuses the same sets, as the protocol allows. Rows carry
-    (t, L_A, chi2_shadow, chi2_exact).
+    reuses the same sets, as the protocol allows. Every snapshot is drawn
+    from a substream of seed. Rows carry (t, L_A, chi2_shadow, chi2_exact).
     """
     if mom.n_batches * mom.batch_size > shots:
         raise ValueError(f"{mom.n_batches} batches of {mom.batch_size} exceed {shots} shots")
     if subsystem_sizes is None:
         subsystem_sizes = (s.subsystem_size,)
     subsets_by_size = [
-        (k, qualifying_subsets(replace(s, subsystem_size=k, subset_policy="all_subsets")))
-        for k in subsystem_sizes
+        (k, qualifying_subsets(s.model.n_sites, k, "all_subsets")) for k in subsystem_sizes
     ]
     check_shadow_memory(s.model.n_sites, shots, mom, *subsystem_sizes)
     states = _trajectory(build_hamiltonian(s.model), prepare_ensemble(s), s.time_grid)
     rows = []
     for ti, (t, pair) in enumerate(zip(s.time_grid, states)):
         set1, set2 = (
-            sample_shadow_set(psi, shots, substream_rng(s.master_seed, f"shadow:{label}", ti))
+            sample_shadow_set(psi, shots, substream_rng(seed, f"shadow:{label}", ti))
             for psi, label in zip(pair, ("state1", "state2"))
         )
         for k, subsets in subsets_by_size:
@@ -284,6 +275,7 @@ def mbl_cage_compare(
         raise ValueError("cage must be contiguous")
     if s.perturbation_site not in idx:
         raise ValueError("cage must contain the perturbation site")
+    window = _cage_window(cage_sites, s.perturbation_site, s.subsystem_size)
     disorder = s.model.disorder
     bond_scale = np.ones(L_full - 1)
     if idx[0] > 0:
@@ -294,9 +286,8 @@ def mbl_cage_compare(
     h_full = build_mbl(L_full, disorder=disorder, bond_scale=bond_scale, **c)
     cage_disorder = replace(disorder, fields=disorder.fields[list(idx)])
     h_cage = build_mbl(len(idx), disorder=cage_disorder, **c)
-    bits = _initial_bits(s.initial_kind, L_full)
+    bits = _initial_bits(s.model.kind, L_full)
     cage_pair = _flip_pair([bits[i] for i in idx], idx.index(s.perturbation_site))
-    window = _cage_window(cage_sites, s.perturbation_site, s.subsystem_size)
     window_rel = SiteSubset(idx.index(x) for x in window)
     full = _trajectory(h_full, prepare_ensemble(s), s.time_grid)
     cage = _trajectory(h_cage, cage_pair, s.time_grid)

@@ -186,13 +186,11 @@ def test_criterion_6_clifford_design():
     for size in (1, 2):
         s = ScrambleScenario(
             model=ModelSpec(kind="PXP", n_sites=10),
-            initial_kind="neel",
             perturbation_site=4,
             subsystem_size=size,
             time_grid=grid,
-            master_seed=0,
         )
-        rows = clifford_convergence_experiment(s, [10, 200], 5)
+        rows = clifford_convergence_experiment(s, [10, 200], 5, seed=0)
         summ = summarize_convergence(rows)
         mad = float(np.mean([abs(r["chi2_est"] - r["chi2_exact"]) for r in rows if r["N"] == 200]))
         mad_ok = mad_ok and mad < 0.05
@@ -218,10 +216,8 @@ def test_criterion_7_t0_anchor():
     for kind, L in (("TFIM", 10), ("MFIM", 10), ("PXP", 10), ("MBL", 10)):
         dis = draw_disorder(L) if kind == "MBL" else None
         site = 4 if kind == "PXP" else 5
-        initial = "neel" if kind in ("PXP", "MBL") else "polarized"
         s = ScrambleScenario(
             model=ModelSpec(kind=kind, n_sites=L, disorder=dis),
-            initial_kind=initial,
             perturbation_site=site,
             subsystem_size=2,
             time_grid=np.array([0.0]),
@@ -245,13 +241,11 @@ def test_criterion_8_shadow_curve_tracking():
     start = time.time()
     s = ScrambleScenario(
         model=ModelSpec(kind="PXP", n_sites=10),
-        initial_kind="neel",
         perturbation_site=4,
         subsystem_size=3,
         time_grid=np.linspace(0.0, 30.0, 20),
-        master_seed=0,
     )
-    rows = shadow_metric_curve(s, 3000, MoMConfig(10, 300), subsystem_sizes=(1, 2, 3))
+    rows = shadow_metric_curve(s, 3000, MoMConfig(10, 300), subsystem_sizes=(1, 2, 3), seed=0)
     ok = True
     details = []
     for k in (1, 2, 3):
@@ -270,7 +264,6 @@ def test_criterion_9_dynamical_phenomenology():
     # (a) ballistic front in the uniform Ising chain
     s_front = ScrambleScenario(
         model=ModelSpec(kind="TFIM", n_sites=10),
-        initial_kind="polarized",
         perturbation_site=5,
         subsystem_size=2,
         time_grid=np.linspace(0.0, 15.0, 151),
@@ -294,13 +287,11 @@ def test_criterion_9_dynamical_phenomenology():
     # (b) scar revivals: global max over all two-site subsets
     s_rev = ScrambleScenario(
         model=ModelSpec(kind="PXP", n_sites=10),
-        initial_kind="neel",
         perturbation_site=4,
         subsystem_size=2,
         time_grid=np.linspace(0.0, 30.0, 301),
-        subset_policy="all_subsets",
     )
-    curve = exact_metric_grid(s_rev).values[0, :, 0]
+    curve = exact_metric_grid(s_rev, policy="all_subsets").values[0, :, 0]
     thr = 0.5 * curve[0]
     peaks = [
         i
@@ -314,7 +305,6 @@ def test_criterion_9_dynamical_phenomenology():
     dis = draw_disorder(10)
     s_mbl = ScrambleScenario(
         model=ModelSpec(kind="MBL", n_sites=10, disorder=dis),
-        initial_kind="neel",
         perturbation_site=5,
         subsystem_size=2,
         time_grid=np.linspace(0.0, 30.0, 151),
@@ -330,7 +320,6 @@ def test_criterion_9_dynamical_phenomenology():
     cage = SiteSubset([4, 5, 6])
     s_cage = ScrambleScenario(
         model=ModelSpec(kind="MBL", n_sites=10, disorder=dis),
-        initial_kind="neel",
         perturbation_site=5,
         subsystem_size=2,
         time_grid=np.linspace(0.0, 30.0, 61),
@@ -365,7 +354,6 @@ def test_dynamical_confinement_regression():
     for h in (0.0, -0.1, -0.2):
         s = ScrambleScenario(
             model=ModelSpec(kind="MFIM", n_sites=10, couplings={"J": -1.0, "g": -0.25, "h": h}),
-            initial_kind="polarized",
             perturbation_site=5,
             subsystem_size=2,
             time_grid=np.linspace(0.0, 20.0, 101),

@@ -308,12 +308,19 @@ class TestShadowCurveCommand:
 def test_manifest_scenario_records_no_shot_budget(tmp_path, args):
     # The shot budget is the shadow-curve command's, not the scenario's: only
     # its config records shots and batches, and it records the snapshots its
-    # batches used.
+    # batches used. The start state follows the model, and units and version
+    # are recorded once, at the top level.
     out = tmp_path / "o"
     assert main([*args, "--out", str(out)]) == 0
     manifest = json.loads((out / "manifest.json").read_text())
-    assert "shots" not in manifest["scenario"] and "n_batches" not in manifest["scenario"]
-    assert manifest["config"].keys() == set(cli.READS[args[0]])
+    assert manifest["scenario"].keys() - {"disorder"} == {
+        "model", "n_sites", "couplings", "perturbation_site", "subsystem_size", "time_grid",
+    }
+    assert manifest["units"] == "nats" and manifest["version"] == scramblescope.__version__
+    reads = set(cli.READS[args[0]])
+    if args[0] != "mbl-cage":  # the TFIM and PXP chains draw no disorder
+        reads -= {"disorder_seed", "disorder_width"}
+    assert manifest["config"].keys() == reads
     if args[0] == "shadow-curve":
         assert {"shots", "batches"} <= manifest["config"].keys()
         assert manifest["snapshots_used_per_state"] == 3000
@@ -330,8 +337,38 @@ def test_manifest_config_omits_settings_the_command_does_not_read(tmp_path):
     assert main([*args, "--config", str(p), "--out", str(out)]) == 0
     manifest = json.loads((out / "manifest.json").read_text())
     assert not {"metrics", "policy", "out", "command"} & manifest["config"].keys()
-    assert manifest["scenario"]["metrics"] == ["chi2"]
-    assert manifest["scenario"]["subset_policy"] == "all_subsets"
+    assert not {"metrics", "subset_policy"} & manifest["scenario"].keys()
+
+
+@pytest.mark.parametrize("model, drawn", [("tfim", False), ("pxp", False), ("mbl", True)])
+def test_manifest_records_disorder_only_where_drawn(tmp_path, model, drawn):
+    out = tmp_path / "o"
+    assert main(["grid", "--model", model, "--length", "4", "--steps", "1", "--out", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    disorder = {"disorder_seed", "disorder_width"}
+    assert ("disorder" in manifest["scenario"]) is drawn
+    assert disorder & manifest["config"].keys() == (disorder if drawn else set())
+
+
+@pytest.mark.parametrize(
+    "command, args, tables, sampled",
+    [
+        ("shadow-curve", ["--model", "pxp", "--length", "6", "--shots", "200"], ["shadow_curve.csv"], True),
+        ("clifford-verify", ["--length", "6"], ["clifford_verify.csv", "clifford_summary.csv"], True),
+        ("grid", ["--model", "pxp", "--length", "6"], ["grid.csv"], False),
+        ("mbl-cage", ["--length", "6"], ["mbl_cage.csv"], False),
+    ],
+    ids=["shadow-curve", "clifford-verify", "grid", "mbl-cage"],
+)
+def test_seed_reaches_only_the_samplers(tmp_path, command, args, tables, sampled):
+    # grid and mbl-cage draw nothing, so they neither read nor record a seed
+    runs = []
+    for seed in ("6", "7"):
+        out = tmp_path / seed
+        assert main([command, *args, "--tmax", "2", "--steps", "2", "--seed", seed, "--out", str(out)]) == 0
+        runs.append([(out / name).read_bytes() for name in tables])
+    assert [a != b for a, b in zip(*runs)] == [sampled] * len(tables)
+    assert ("seed" in cli.READS[command]) is sampled
 
 
 def test_identity_suite_manifest_records_its_sample_sizes(tmp_path):

@@ -144,7 +144,6 @@ class TestConvergenceExperiment:
     def _scenario(self, size):
         return ScrambleScenario(
             model=ModelSpec(kind="PXP", n_sites=6),
-            initial_kind="neel",
             perturbation_site=2,
             subsystem_size=size,
             time_grid=np.array([0.0, 1.5]),
@@ -174,7 +173,6 @@ class TestConvergenceExperiment:
     def test_rejects_non_pxp(self):
         s = ScrambleScenario(
             model=ModelSpec(kind="TFIM", n_sites=4),
-            initial_kind="polarized",
             perturbation_site=2,
             subsystem_size=1,
             time_grid=np.array([0.0]),

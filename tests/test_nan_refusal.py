@@ -29,7 +29,6 @@ CASES = {
     "disorder_width": lambda: draw_disorder(4, W=NAN),
     "time_grid": lambda: ScrambleScenario(
         model=ModelSpec(kind="TFIM", n_sites=4),
-        initial_kind="polarized",
         perturbation_site=2,
         subsystem_size=1,
         time_grid=[0.0, NAN],

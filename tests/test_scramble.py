@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from scramblescope import cli, scramble
+from scramblescope import cli, models, scramble
 from scramblescope.evolve import evolve, make_propagator
 from scramblescope.infotheory import Ensemble, chi_q, holevo_chi
 from scramblescope.models import (
@@ -38,14 +38,11 @@ def scenario(kind="TFIM", L=6, site=None, size=2, times=(0.0,), **kw):
     model = ModelSpec(kind=kind, n_sites=L, couplings={}, disorder=dis)
     if site is None:
         site = default_perturbation_site(kind, L)
-    initial = kw.pop("initial_kind", "neel" if kind in ("PXP", "MBL") else "polarized")
     return ScrambleScenario(
         model=model,
-        initial_kind=initial,
         perturbation_site=site,
         subsystem_size=size,
         time_grid=np.asarray(times, dtype=float),
-        **kw,
     )
 
 
@@ -54,25 +51,9 @@ class TestScenarioValidation:
         with pytest.raises(ValueError):
             scenario(site=9)
 
-    def test_rejects_bad_policy(self):
-        with pytest.raises(ValueError):
-            scenario(subset_policy="nearest")
-
-    def test_rejects_bad_metric(self):
-        with pytest.raises(ValueError):
-            scenario(metrics=("renyi",))
-        with pytest.raises(ValueError, match="duplicate"):
-            scenario(metrics=("chi2", "chi2"))
-        with pytest.raises(ValueError, match="no metrics"):
-            scenario(metrics=())
-
     def test_pxp_rejects_inactive_site(self):
         with pytest.raises(ValueError, match="inactive"):
             scenario(kind="PXP", L=6, site=3)
-
-    def test_pxp_rejects_polarized(self):
-        with pytest.raises(ValueError, match="Neel"):
-            scenario(kind="PXP", L=6, site=2, initial_kind="polarized")
 
     def test_rejects_decreasing_grid(self):
         with pytest.raises(ValueError):
@@ -89,8 +70,11 @@ class TestScenarioValidation:
 
         echo = scenario(kind="MBL").scenario_echo()
         json.dumps(echo)
-        assert echo["units"] == "nats"
-        assert "disorder" in echo
+        # units and version are the manifest's; the state follows the model
+        assert echo.keys() == {
+            "model", "n_sites", "couplings", "perturbation_site", "subsystem_size",
+            "time_grid", "disorder",
+        }
 
 
 class TestDefaults:
@@ -122,11 +106,11 @@ class TestPrepareEnsemble:
 
 class TestQualifyingSubsets:
     def test_windows_are_contiguous(self):
-        subs = qualifying_subsets(scenario(L=5, size=2))
+        subs = qualifying_subsets(5, 2, "windows_containing_x")
         assert [s.indices for s in subs] == [(0, 1), (1, 2), (2, 3), (3, 4)]
 
     def test_all_subsets_count(self):
-        subs = qualifying_subsets(scenario(L=5, size=2, subset_policy="all_subsets"))
+        subs = qualifying_subsets(5, 2, "all_subsets")
         assert len(subs) == 10
 
 
@@ -155,14 +139,14 @@ class TestExactGrid:
             assert np.max(np.abs(row - row[::-1])) < 1e-9
 
     def test_all_metrics_reported_nonnegative(self):
-        s = scenario(kind="TFIM", L=5, times=(0.7,), metrics=("chi2", "holevo", "chi_q"))
-        g = exact_metric_grid(s)
+        s = scenario(kind="TFIM", L=5, times=(0.7,))
+        g = exact_metric_grid(s, metrics=("chi2", "holevo", "chi_q"))
         assert g.values.shape == (3, 1, 5)
         assert np.min(g.values) >= 0.0
 
     def test_holevo_bounds_chi2_and_chi_q(self):
-        s = scenario(kind="TFIM", L=5, times=(0.9,), metrics=("chi2", "holevo", "chi_q"))
-        g = exact_metric_grid(s)
+        s = scenario(kind="TFIM", L=5, times=(0.9,))
+        g = exact_metric_grid(s, metrics=("chi2", "holevo", "chi_q"))
         chi2_row, holevo_row, chiq_row = g.values[:, 0, :]
         assert np.all(chi2_row <= holevo_row + 1e-9)
         assert np.all(chiq_row <= holevo_row + 1e-9)
@@ -172,15 +156,34 @@ class TestExactGrid:
         calls = []
         eigvalsh = np.linalg.eigvalsh
         monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: calls.append(1) or eigvalsh(m))
-        s = scenario(kind="TFIM", L=4, times=(0.0, 0.5, 1.0), metrics=("chi2", "holevo", "chi_q"))
-        exact_metric_grid(s)
-        assert len(calls) == 3 * len(s.time_grid) * len(qualifying_subsets(s))
+        s = scenario(kind="TFIM", L=4, times=(0.0, 0.5, 1.0))
+        exact_metric_grid(s, metrics=("chi2", "holevo", "chi_q"))
+        assert len(calls) == 3 * len(s.time_grid) * len(qualifying_subsets(4, 2, "windows_containing_x"))
 
     def test_all_subsets_single_column(self):
-        s = scenario(kind="TFIM", L=5, times=(0.0,), subset_policy="all_subsets")
-        g = exact_metric_grid(s)
+        s = scenario(kind="TFIM", L=5, times=(0.0,))
+        g = exact_metric_grid(s, policy="all_subsets")
         assert g.values.shape == (1, 1, 1)
         assert abs(g.values[0, 0, 0] - LN_4_3) < 1e-10
+
+    @pytest.fixture
+    def no_build(self, monkeypatch):
+        def must_not_build(model):
+            raise AssertionError("built H before the metrics and policy were checked")
+
+        monkeypatch.setattr(scramble, "build_hamiltonian", must_not_build)
+
+    def test_rejects_bad_policy(self, no_build):
+        with pytest.raises(ValueError, match="unknown subset policy 'nearest'"):
+            exact_metric_grid(scenario(), policy="nearest")
+
+    def test_rejects_bad_metric(self, no_build):
+        with pytest.raises(ValueError, match="unknown metric"):
+            exact_metric_grid(scenario(), metrics=("renyi",))
+        with pytest.raises(ValueError, match="duplicate"):
+            exact_metric_grid(scenario(), metrics=("chi2", "chi2"))
+        with pytest.raises(ValueError, match="no metrics"):
+            exact_metric_grid(scenario(), metrics=())
 
 
 class TestExactChi2Pair:
@@ -204,16 +207,16 @@ class TestExactChi2Pair:
 
 class TestShadowCurve:
     def test_tracks_exact_small_case(self):
-        s = scenario(kind="TFIM", L=4, size=2, times=(0.0, 1.0), master_seed=5)
-        rows = shadow_metric_curve(s, 1500, MoMConfig(10, 150))
+        s = scenario(kind="TFIM", L=4, size=2, times=(0.0, 1.0))
+        rows = shadow_metric_curve(s, 1500, MoMConfig(10, 150), seed=5)
         assert len(rows) == 2
         for r in rows:
             assert abs(r["chi2_shadow"] - r["chi2_exact"]) < 0.15
 
     def test_deterministic(self):
-        s = scenario(kind="TFIM", L=4, size=1, times=(0.5,), master_seed=9)
-        a = shadow_metric_curve(s, 400, MoMConfig(10, 40))
-        b = shadow_metric_curve(s, 400, MoMConfig(10, 40))
+        s = scenario(kind="TFIM", L=4, size=1, times=(0.5,))
+        a = shadow_metric_curve(s, 400, MoMConfig(10, 40), seed=9)
+        b = shadow_metric_curve(s, 400, MoMConfig(10, 40), seed=9)
         assert a == b
 
     def test_refuses_batches_past_the_shots_before_sampling(self, monkeypatch):
@@ -248,7 +251,6 @@ class TestMblCage:
         dis = draw_disorder(L)
         s = ScrambleScenario(
             model=ModelSpec(kind="MBL", n_sites=L, couplings=couplings, disorder=dis),
-            initial_kind="neel",
             perturbation_site=2,
             subsystem_size=2,
             time_grid=np.array([0.0, 1.5, 4.0]),
@@ -278,6 +280,15 @@ class TestMblCage:
         with pytest.raises(ValueError):
             mbl_cage_compare(SiteSubset([2, 3, 4]), s)
 
+    def test_rejects_window_larger_than_cage_before_building(self, monkeypatch):
+        def must_not_build(*args, **kwargs):
+            raise AssertionError("built H before the window was checked")
+
+        monkeypatch.setattr(models, "build_mbl", must_not_build)
+        s = scenario(kind="MBL", L=8, site=4, size=3)
+        with pytest.raises(ValueError, match="subsystem larger than the cage"):
+            mbl_cage_compare(SiteSubset([4, 5]), s)
+
     def test_window_fits_every_cage(self):
         # every contiguous cage of a chain of up to 8 sites, every site and size
         for lo in range(8):
@@ -293,7 +304,7 @@ class TestMblCage:
 class TestSectorRoute:
     @pytest.mark.parametrize("kind", ["PXP", "MBL"])
     def test_metrics_match_full_space_route(self, kind):
-        s = scenario(kind=kind, L=10, size=2, subset_policy="all_subsets")
+        s = scenario(kind=kind, L=10, size=2)
         h, pair = build_hamiltonian(s.model), prepare_ensemble(s)
         sector, full = make_propagator(h, *pair), make_propagator(h)
         assert sum(index.size for index, _, _ in sector.blocks) < h.dim
@@ -304,6 +315,6 @@ class TestSectorRoute:
             return np.array([exact_chi2_pair(rho1, rho2), holevo_chi(ens), chi_q(ens)])
 
         for t in np.linspace(0.0, 30.0, 7):
-            for subset in qualifying_subsets(s):
+            for subset in qualifying_subsets(10, 2, "all_subsets"):
                 diff = metrics(sector, t, subset) - metrics(full, t, subset)
                 assert np.max(np.abs(diff)) <= 1e-12
