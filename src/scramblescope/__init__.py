@@ -25,7 +25,6 @@ from .models import (  # noqa: F401
 from .evolve import evolve, make_propagator  # noqa: F401
 from .infotheory import (  # noqa: F401
     Ensemble,
-    chi2,
     chi_q,
     haar_moment_mc,
     holevo_chi,
@@ -40,12 +39,12 @@ from .shadows import (  # noqa: F401
     MoMConfig,
     ShadowSet,
     chi2_estimate_many,
-    kernel_value,
     sample_shadow_set,
 )
 from .scramble import (  # noqa: F401
     GridResult,
     ScrambleScenario,
+    exact_chi2_pair,
     exact_metric_grid,
     mbl_cage_compare,
     prepare_ensemble,

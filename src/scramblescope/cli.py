@@ -23,8 +23,6 @@ from . import __version__
 from .cliffordverify import clifford_convergence_experiment, summarize_convergence
 from .infotheory import (
     HAAR_MIN_SAMPLES,
-    Ensemble,
-    chi2,
     haar_moment_mc,
     q2_contour,
     q2_from_purity_value,
@@ -36,13 +34,14 @@ from .infotheory import (
     von_neumann,
 )
 from .models import MBL_SEED_DEFAULT, MBL_W_DEFAULT, ModelSpec, check_dense_length, draw_disorder
-from .qhilbert import DensityOperator, SiteSubset, purity
+from .qhilbert import DensityOperator, SiteSubset, check_reduced_sites, purity
 from .scramble import (
     METRIC_NAMES,
     ScrambleScenario,
     _cage_window,
     check_grid_choices,
     default_perturbation_site,
+    exact_chi2_pair,
     exact_metric_grid,
     mbl_cage_compare,
     shadow_metric_curve,
@@ -167,6 +166,8 @@ class RunConfig:
             raise ValueError(f"steps={self.steps} is above the time-grid limit of {MAX_TIME_STEPS}")
         if "length" in reads:
             check_dense_length(self.length)
+        if "subsystem_size" in reads:  # a size above the length is the scenario's usage error
+            check_reduced_sites(min(self.subsystem_size, self.length))
         if "metrics" in reads:
             try:
                 check_grid_choices(self.metrics, self.policy)
@@ -399,7 +400,7 @@ def run_identity_suites(seed: int, n_spectra: int, n_triples: int, n_haar: int) 
                 - q2_purity(mix)
             )
             worst_gap = max(worst_gap, gap)
-            min_chi2 = min(min_chi2, chi2(Ensemble(rho0, rho1)))
+            min_chi2 = min(min_chi2, exact_chi2_pair(rho0, rho1))
     suites["q2_concavity"] = {
         "max_violation": worst_gap,
         "min_chi2": min_chi2,

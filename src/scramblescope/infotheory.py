@@ -44,11 +44,6 @@ class Ensemble:
         object.__setattr__(self, "average", DensityOperator(self.first.dim, avg))
 
 
-def _mixing_gain(e: Ensemble, f) -> float:
-    """f of the average state minus the average of f over the two members."""
-    return f(e.average) - (0.5 * f(e.first) + 0.5 * f(e.second))
-
-
 def von_neumann(rho: DensityOperator) -> float:
     """-Tr(rho ln rho) in nats, with the 0 ln 0 := 0 convention."""
     w = rho.spectrum.values
@@ -58,7 +53,7 @@ def von_neumann(rho: DensityOperator) -> float:
 
 def holevo_chi(e: Ensemble) -> float:
     """Entropy of the average state minus the average member entropy."""
-    return _mixing_gain(e, von_neumann)
+    return von_neumann(e.average) - (0.5 * von_neumann(e.first) + 0.5 * von_neumann(e.second))
 
 
 # ---------------------------------------------------------------------------
@@ -139,11 +134,6 @@ def q2_contour(spec: Spectrum, radius: float = 2.0, n_nodes: int = 256) -> float
     integrand = z ** 2 / np.prod(1.0 - vals[:, None] / z[None, :], axis=0)
     val = float(np.mean(integrand).real)
     return -math.log(val)
-
-
-def chi2(e: Ensemble) -> float:
-    """Gain of the Q2 measure from mixing the ensemble (always >= 0)."""
-    return _mixing_gain(e, q2_purity)
 
 
 def chi2_from_purities(p1: float, p2: float, p_mix: float, d: int) -> float:

@@ -6,6 +6,7 @@ means spin up, i.e. the +1 eigenstate of sigma_z.
 
 All matrices are dense. Hamiltonians are refused above 13 sites
 (`models.MAX_DENSE_SITES`): at 14 sites one complex128 matrix takes 4 GiB.
+Reduced states are refused above MAX_REDUCED_SITES.
 """
 
 from __future__ import annotations
@@ -159,10 +160,22 @@ class Spectrum:
         object.__setattr__(self, "values", np.maximum(v, 0.0))
 
 
+# Most sites of a reduced density matrix: a whole-chain grid peaked at 425 MiB
+# RSS for 11 sites and 1.6 GiB for 12, so 13 would need about 6 GiB.
+MAX_REDUCED_SITES = 12
+
+
+def check_reduced_sites(k: int) -> None:
+    """Refuse a reduced state above MAX_REDUCED_SITES, before it is built."""
+    if k > MAX_REDUCED_SITES:
+        raise ValueError(f"a {k}-site reduced state exceeds the limit of {MAX_REDUCED_SITES} sites")
+
+
 def partial_trace(state: StateVector, keep: SiteSubset) -> DensityOperator:
     """Reduced density matrix of a pure state on the kept sites."""
     keep.validate_for(state.n_sites)
     n, kept = state.n_sites, keep.indices
+    check_reduced_sites(len(kept))
     order = kept + tuple(i for i in range(n) if i not in kept)
     d = 2 ** len(kept)
     mat = state.amplitudes.reshape((2,) * n).transpose(order).reshape(d, -1)

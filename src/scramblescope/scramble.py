@@ -21,6 +21,7 @@ from .qhilbert import (
     SiteSubset,
     StateVector,
     basis_state,
+    check_reduced_sites,
     partial_trace,
     purity,
 )
@@ -139,27 +140,30 @@ def qualifying_subsets(L: int, k: int, policy: str) -> list[SiteSubset]:
     """Distinct size-k subsets of an L-site chain that the policy sweeps over."""
     if policy == "windows_containing_x":
         return [SiteSubset(range(x0, x0 + k)) for x0 in range(L - k + 1)]
-    return [SiteSubset(c) for c in itertools.combinations(range(L), k)]
+    if policy == "all_subsets":
+        return [SiteSubset(c) for c in itertools.combinations(range(L), k)]
+    raise ValueError(f"unknown subset policy {policy!r}")
 
 
 def exact_chi2_pair(rho1: DensityOperator, rho2: DensityOperator) -> float:
+    """chi2 of an equal-weight pair, from its two purities and their overlap."""
     p1, p2 = purity(rho1), purity(rho2)
     overlap = np.vdot(rho1.matrix, rho2.matrix).real
     return chi2_from_purities(p1, p2, (p1 + p2 + 2.0 * overlap) / 4.0, rho1.dim)
 
 
-def _subset_metrics(pair, subset: SiteSubset, metrics) -> dict:
-    rho1 = partial_trace(pair[0], subset)
-    rho2 = partial_trace(pair[1], subset)
-    out = {}
-    if "chi2" in metrics:
-        out["chi2"] = exact_chi2_pair(rho1, rho2)
-    if "holevo" in metrics or "chi_q" in metrics:
-        ens = Ensemble(rho1, rho2)
-        if "holevo" in metrics:
-            out["holevo"] = holevo_chi(ens)
-        if "chi_q" in metrics:
-            out["chi_q"] = chi_q(ens)
+def _exact_metrics(pair, subsets, metrics=("chi2",)) -> np.ndarray:
+    """(metric, subset) exact values on each subset's pair of reduced states."""
+    out = np.empty((len(metrics), len(subsets)))
+    for j, subset in enumerate(subsets):
+        rho1, rho2 = partial_trace(pair[0], subset), partial_trace(pair[1], subset)
+        ens = Ensemble(rho1, rho2) if "holevo" in metrics or "chi_q" in metrics else None
+        out[:, j] = [
+            exact_chi2_pair(rho1, rho2) if m == "chi2"
+            else holevo_chi(ens) if m == "holevo"
+            else chi_q(ens)
+            for m in metrics
+        ]
     return out
 
 
@@ -177,21 +181,13 @@ def exact_metric_grid(
     states = _trajectory(build_hamiltonian(s.model), prepare_ensemble(s), s.time_grid)
     L = s.model.n_sites
     subsets = qualifying_subsets(L, s.subsystem_size, policy)
-    if policy == "windows_containing_x":
-        sites = tuple(range(L))
-        owners = [
-            [j for j, sub in enumerate(subsets) if x in sub.indices] for x in range(L)
-        ]
-    else:
-        sites = (0,)
-        owners = [list(range(len(subsets)))]
+    sites = tuple(range(L)) if policy == "windows_containing_x" else (0,)
+    # owner[j, c]: whether subset j takes part in column c's maximum
+    owner = np.array([[policy == "all_subsets" or x in sub.indices for x in sites] for sub in subsets])
     values = np.zeros((len(metrics), len(s.time_grid), len(sites)))
     for ti, pair in enumerate(states):
-        per_subset = [_subset_metrics(pair, sub, metrics) for sub in subsets]
-        for mi, metric in enumerate(metrics):
-            vals = np.array([pm[metric] for pm in per_subset])
-            for ci, owner in enumerate(owners):
-                values[mi, ti, ci] = np.max(vals[owner])
+        vals = _exact_metrics(pair, subsets, metrics)
+        values[:, ti] = np.where(owner, vals[:, :, None], -np.inf).max(axis=1)
     values = np.maximum(values, 0.0)
     return GridResult(
         values=values,
@@ -215,6 +211,9 @@ def shadow_metric_curve(
         raise ValueError(f"{mom.n_batches} batches of {mom.batch_size} exceed {shots} shots")
     if subsystem_sizes is None:
         subsystem_sizes = (s.subsystem_size,)
+    for k in subsystem_sizes:
+        replace(s, subsystem_size=k)  # the scenario refuses a size outside [1, L]
+        check_reduced_sites(k)
     subsets_by_size = [
         (k, qualifying_subsets(s.model.n_sites, k, "all_subsets")) for k in subsystem_sizes
     ]
@@ -228,7 +227,7 @@ def shadow_metric_curve(
         )
         for k, subsets in subsets_by_size:
             ests = chi2_estimate_many(set1, set2, subsets, mom)
-            exact = max(_subset_metrics(pair, sub, ("chi2",))["chi2"] for sub in subsets)
+            exact = float(_exact_metrics(pair, subsets).max())
             rows.append(
                 {
                     "t": float(t),
@@ -294,8 +293,8 @@ def mbl_cage_compare(
     return [
         {
             "t": float(t),
-            "chi2_full": _subset_metrics(in_chain, window, ("chi2",))["chi2"],
-            "chi2_cage": _subset_metrics(isolated, window_rel, ("chi2",))["chi2"],
+            "chi2_full": float(_exact_metrics(in_chain, [window])[0, 0]),
+            "chi2_cage": float(_exact_metrics(isolated, [window_rel])[0, 0]),
         }
         for t, in_chain, isolated in zip(s.time_grid, full, cage)
     ]

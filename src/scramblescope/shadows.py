@@ -2,8 +2,8 @@
 
 A snapshot stores, per site, which Pauli basis was measured (X/Y/Z) and the
 outcome bit, packed into one code basis*2 + bit. Subsystem purities and
-cross-state overlaps are estimated from the three-valued lookup kernel
-{5, -4, 1/2} between snapshot pairs, robustly aggregated by median-of-means.
+cross-state overlaps are estimated from the single-site kernel {5, -4, 1/2}
+between snapshot pairs, robustly aggregated by median-of-means.
 """
 
 from __future__ import annotations
@@ -84,27 +84,6 @@ def _born_outcomes(state: StateVector, bases, uniforms) -> np.ndarray:
     return out
 
 
-def kernel_value(basis1: int, bit1: int, basis2: int, bit2: int) -> float:
-    """Trace inner product of two single-site snapshot factors."""
-    for b in (basis1, basis2):
-        if b not in (BASIS_X, BASIS_Y, BASIS_Z):
-            raise ValueError(f"invalid basis code {b}")
-    for o in (bit1, bit2):
-        if o not in (0, 1):
-            raise ValueError(f"invalid outcome bit {o}")
-    if basis1 != basis2:
-        return 0.5
-    return 5.0 if bit1 == bit2 else -4.0
-
-
-# 6x6 table indexed by the packed code basis*2 + bit.
-_KERNEL_TABLE = np.array(
-    [
-        [kernel_value(c1 // 2, c1 % 2, c2 // 2, c2 % 2) for c2 in range(6)]
-        for c1 in range(6)
-    ]
-)
-
 # Integer factors w(c) = (1, 3 s e_basis), s = +1 for bit 0 and -1 for bit 1,
 # one row per code: the kernel of two codes is w(c) . w(c') / 2.
 _KERNEL_FACTORS = np.array([
@@ -112,7 +91,6 @@ _KERNEL_FACTORS = np.array([
     [1, 0, 3, 0], [1, 0, -3, 0],    # Y
     [1, 0, 0, 3], [1, 0, 0, -3],    # Z
 ])
-assert np.array_equal(_KERNEL_FACTORS @ _KERNEL_FACTORS.T / 2, _KERNEL_TABLE)
 
 # Code-tuple histogram entries one estimator chunk holds: (subset, batch)
 # units of B tuple indices and 6**|A| counts each.
@@ -254,7 +232,7 @@ def _pair_sums(
     for i, (x, y) in enumerate(((codes1, codes1), (codes2, codes2), (codes1, codes2))):
         for k in range(mom.n_batches):
             xk, yk = x[k * b : (k + 1) * b], y[k * b : (k + 1) * b]
-            kern = {s: _KERNEL_TABLE[xk[:, s][:, None], yk[:, s][None, :]] for s in sites}
+            kern = {s: _KERNEL_FACTORS[xk[:, s]] @ _KERNEL_FACTORS[yk[:, s]].T / 2 for s in sites}
             for j, subset in enumerate(subsets):
                 sums[i, j, k] = math.prod(kern[site] for site in subset).sum()
     return sums

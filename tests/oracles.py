@@ -17,7 +17,7 @@ from scramblescope.qhilbert import (
     SiteSubset,
     StateVector,
 )
-from scramblescope.shadows import kernel_value
+from scramblescope.shadows import BASIS_X, BASIS_Y, BASIS_Z
 
 _PAULIS = (PAULI_X, PAULI_Y, PAULI_Z)  # indexed by the basis codes X, Y, Z
 
@@ -82,6 +82,19 @@ def dense_snapshot(bases, outcomes) -> np.ndarray:
     return m
 
 
+def kernel_value(basis1: int, bit1: int, basis2: int, bit2: int) -> float:
+    """Trace inner product of two single-site snapshot factors."""
+    for b in (basis1, basis2):
+        if b not in (BASIS_X, BASIS_Y, BASIS_Z):
+            raise ValueError(f"invalid basis code {b}")
+    for o in (bit1, bit2):
+        if o not in (0, 1):
+            raise ValueError(f"invalid outcome bit {o}")
+    if basis1 != basis2:
+        return 0.5
+    return 5.0 if bit1 == bit2 else -4.0
+
+
 def pair_kernel(x, i: int, y, j: int, subset: SiteSubset) -> float:
     """Product over the subset sites of the kernel between snapshot i of
     shadow set x and snapshot j of shadow set y."""
@@ -104,3 +117,9 @@ def median_of_means(samples, K: int) -> float:
     usable = (len(samples) // K) * K
     means = samples[:usable].reshape(K, -1).mean(axis=1)
     return float(np.median(means))
+
+
+def mixing_gain(e, f) -> float:
+    """f of an ensemble's average state minus the average of f over its two
+    members: with f = q2_purity this is chi2 from the mixture's own matrix."""
+    return f(e.average) - (0.5 * f(e.first) + 0.5 * f(e.second))

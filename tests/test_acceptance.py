@@ -19,8 +19,6 @@ from scramblescope.cliffordverify import (
     summarize_convergence,
 )
 from scramblescope.infotheory import (
-    Ensemble,
-    chi2,
     haar_moment_mc,
     q2_contour,
     q2_from_purity_value,
@@ -39,6 +37,7 @@ from scramblescope.qhilbert import (
 )
 from scramblescope.scramble import (
     ScrambleScenario,
+    exact_chi2_pair,
     exact_metric_grid,
     mbl_cage_compare,
     shadow_metric_curve,
@@ -47,11 +46,10 @@ from scramblescope.seeding import substream_rng
 from scramblescope.shadows import (
     MoMConfig,
     chi2_estimate_many,
-    kernel_value,
     sample_shadow_set,
 )
 
-from oracles import dense_snapshot, median_of_means
+from oracles import dense_snapshot, kernel_value, median_of_means
 
 LN_4_3 = math.log(4.0 / 3.0)
 
@@ -92,7 +90,7 @@ def test_criterion_2_concavity_suite():
             mix = DensityOperator(d, lam * a.matrix + (1 - lam) * b.matrix)
             gap = lam * q2_purity(a) + (1 - lam) * q2_purity(b) - q2_purity(mix)
             worst_gap = max(worst_gap, gap)
-            min_chi2 = min(min_chi2, chi2(Ensemble(a, b)))
+            min_chi2 = min(min_chi2, exact_chi2_pair(a, b))
     elapsed = time.time() - start
     ok = worst_gap < 1e-12 and min_chi2 >= -1e-10 and elapsed < 10.0
     verdict(

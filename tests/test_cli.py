@@ -156,8 +156,10 @@ class TestConfigTypes:
             (["--model", "tfim", "--length", "0"], "length must be at least 1, got 0"),
             (["--model", "mbl", "--length", "-3"], "length must be at least 1, got -3"),
             (["--model", "tfim", "--length", "4", "--subsystem-size", "5"], "subsystem size 5 is not in [1, 4]"),
+            # above the reduced-state limit too, but the chain is what it exceeds
+            (["--model", "tfim", "--length", "4", "--subsystem-size", "13"], "subsystem size 13 is not in [1, 4]"),
         ],
-        ids=["tfim-1", "pxp-1", "mbl-1", "tfim-0", "mbl-minus-3", "subsystem-5-of-4"],
+        ids=["tfim-1", "pxp-1", "mbl-1", "tfim-0", "mbl-minus-3", "subsystem-5-of-4", "subsystem-13-of-4"],
     )
     def test_usage_message_names_the_faulty_value(self, tmp_path, capsys, args, message):
         out = tmp_path / "o"
@@ -485,6 +487,25 @@ class TestMainErrors:
         assert main(args + ["--length", "3000000", "--out", str(out)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ValueError:") and "dense limit" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["grid", "--model", "pxp"],
+            ["shadow-curve", "--model", "pxp", "--shots", "100"],
+        ],
+    )
+    def test_whole_chain_reduced_state_above_limit_is_refused(self, tmp_path, capsys, monkeypatch, args):
+        def must_not_build(*a, **k):
+            raise AssertionError("built H before the reduced-state check")
+
+        monkeypatch.setattr(scramble, "build_hamiltonian", must_not_build)
+        out = tmp_path / "o"
+        argv = args + ["--length", "13", "--subsystem-size", "13", "--steps", "1", "--out", str(out)]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err == "error: ValueError: a 13-site reduced state exceeds the limit of 12 sites\n"
         assert not out.exists()
 
     @pytest.mark.parametrize(

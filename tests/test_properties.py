@@ -5,8 +5,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from scramblescope.infotheory import (
-    Ensemble,
-    chi2,
     q2_from_purity_value,
     q2_purity,
     q2_spectral,
@@ -21,6 +19,7 @@ from scramblescope.qhilbert import (
     partial_trace,
     purity,
 )
+from scramblescope.scramble import exact_chi2_pair
 
 from oracles import complement, median_of_means
 
@@ -69,7 +68,7 @@ def test_q2_concave_and_chi2_nonnegative(seed, log2d, lam):
 
     mix = DensityOperator(d, mix_m)
     assert lam * q2_purity(a) + (1 - lam) * q2_purity(b) - q2_purity(mix) < 1e-12
-    assert chi2(Ensemble(a, b)) >= -1e-10
+    assert exact_chi2_pair(a, b) >= -1e-10
 
 
 @given(seeds())

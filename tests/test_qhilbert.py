@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from scramblescope import shadows
+from scramblescope import qhilbert, shadows
 from scramblescope.qhilbert import (
     EIG_ATOL,
     DensityOperator,
@@ -210,6 +210,20 @@ class TestPartialTrace:
         p_a = purity(partial_trace(psi, keep))
         p_b = purity(partial_trace(psi, complement(keep, 5)))
         assert abs(p_a - p_b) < 1e-12
+
+
+class TestReducedSizeLimit:
+    def test_limit_is_twelve_sites(self):
+        qhilbert.check_reduced_sites(12)
+        with pytest.raises(ValueError, match="13-site reduced state exceeds the limit of 12"):
+            qhilbert.check_reduced_sites(13)
+
+    def test_partial_trace_checks_before_it_builds(self, monkeypatch):
+        monkeypatch.setattr(qhilbert, "MAX_REDUCED_SITES", 2)
+        psi = StateVector(3, np.full(8, 8 ** -0.5))
+        assert partial_trace(psi, SiteSubset([0, 2])).dim == 4
+        with pytest.raises(ValueError, match="3-site reduced state"):
+            partial_trace(psi, SiteSubset([0, 1, 2]))
 
 
 class TestPurity:

@@ -7,7 +7,7 @@ import pytest
 
 from scramblescope import cli, models, scramble
 from scramblescope.evolve import evolve, make_propagator
-from scramblescope.infotheory import Ensemble, chi_q, holevo_chi
+from scramblescope.infotheory import Ensemble, chi_q, holevo_chi, q2_purity
 from scramblescope.models import (
     DisorderRealization,
     ModelSpec,
@@ -28,7 +28,7 @@ from scramblescope.scramble import (
     shadow_metric_curve,
 )
 
-from oracles import apply_local_unitary
+from oracles import apply_local_unitary, mixing_gain
 
 LN_4_3 = math.log(4.0 / 3.0)
 
@@ -113,6 +113,10 @@ class TestQualifyingSubsets:
         subs = qualifying_subsets(5, 2, "all_subsets")
         assert len(subs) == 10
 
+    def test_rejects_unknown_policy(self):
+        with pytest.raises(ValueError, match="unknown subset policy 'nearest'"):
+            qualifying_subsets(5, 2, "nearest")
+
 
 class TestExactGrid:
     def test_t0_anchor_all_models(self):
@@ -127,6 +131,21 @@ class TestExactGrid:
                     assert abs(v - LN_4_3) < 1e-10, (kind, c)
                 else:
                     assert abs(v) < 1e-10, (kind, c)
+
+    @pytest.mark.parametrize("kind", ["TFIM", "PXP"])
+    def test_window_column_is_the_max_over_windows_containing_the_site(self, kind):
+        L, size, times = 6, 2, (0.0, 0.7, 2.5)
+        s = scenario(kind=kind, L=L, size=size, times=times)
+        g = exact_metric_grid(s)
+        pair = prepare_ensemble(s)
+        p = make_propagator(build_hamiltonian(s.model), *pair)
+        for ti, t in enumerate(times):
+            psi1, psi2 = (evolve(p, psi, t) for psi in pair)
+            for x in range(L):
+                starts = range(max(x - size + 1, 0), min(x, L - size) + 1)
+                windows = [SiteSubset(range(x0, x0 + size)) for x0 in starts]
+                want = max(exact_chi2_pair(partial_trace(psi1, w), partial_trace(psi2, w)) for w in windows)
+                assert g.values[0, ti, x] == max(want, 0.0), (t, x)
 
     def test_mirror_symmetry_tfim(self):
         # odd chain, central perturbation: the reflection x -> L-1-x is an
@@ -188,7 +207,6 @@ class TestExactGrid:
 
 class TestExactChi2Pair:
     def test_matches_ensemble_route(self):
-        from scramblescope.infotheory import Ensemble, chi2
         from scramblescope.qhilbert import partial_trace
 
         s = scenario(kind="TFIM", L=5, times=(1.3,))
@@ -201,7 +219,7 @@ class TestExactChi2Pair:
         sub = SiteSubset([1, 2])
         r1, r2 = partial_trace(a, sub), partial_trace(b, sub)
         direct = exact_chi2_pair(r1, r2)
-        via_ensemble = chi2(Ensemble(r1, r2))
+        via_ensemble = mixing_gain(Ensemble(r1, r2), q2_purity)
         assert abs(direct - via_ensemble) < 1e-12
 
 
@@ -226,6 +244,23 @@ class TestShadowCurve:
         monkeypatch.setattr(scramble, "sample_shadow_set", must_not_sample)
         with pytest.raises(ValueError, match="10 batches of 400 exceed 3000 shots"):
             shadow_metric_curve(scenario(kind="TFIM", L=4), 3000, MoMConfig(10, 400))
+
+    @pytest.mark.parametrize(
+        "L, sizes, message",
+        [
+            (4, (5,), r"subsystem size 5 is not in \[1, 4\]"),
+            (4, (2, 0), r"subsystem size 0 is not in \[1, 4\]"),
+            (13, (13,), "a 13-site reduced state exceeds the limit of 12 sites"),
+        ],
+    )
+    def test_refuses_sizes_before_building(self, monkeypatch, L, sizes, message):
+        def must_not_run(*a, **k):
+            raise AssertionError("built H or sampled before the sizes were checked")
+
+        monkeypatch.setattr(scramble, "build_hamiltonian", must_not_run)
+        monkeypatch.setattr(scramble, "sample_shadow_set", must_not_run)
+        with pytest.raises(ValueError, match=message):
+            shadow_metric_curve(scenario(kind="TFIM", L=L), 200, MoMConfig(10, 20), subsystem_sizes=sizes)
 
 
 class TestMblCage:

@@ -26,11 +26,10 @@ from scramblescope.shadows import (
     ShadowSet,
     check_shadow_memory,
     chi2_estimate_many,
-    kernel_value,
     sample_shadow_set,
 )
 
-from oracles import apply_local_unitary, dense_snapshot, median_of_means, pair_kernel
+from oracles import apply_local_unitary, dense_snapshot, kernel_value, median_of_means, pair_kernel
 
 
 def random_state(n_sites, rng):
@@ -58,6 +57,12 @@ class TestKernel:
             s2 = dense_snapshot([b2], [o2])
             dense = float(np.trace(s1 @ s2).real)
             assert abs(kernel_value(b1, o1, b2, o2) - dense) < 1e-12
+
+    def test_factors_give_the_kernel_of_every_code_pair(self):
+        # the estimator's one form of the kernel, checked once here
+        want = [[kernel_value(*divmod(c1, 2), *divmod(c2, 2)) for c2 in range(6)] for c1 in range(6)]
+        f = shadows_module._KERNEL_FACTORS
+        assert np.array_equal(f @ f.T / 2, want)
 
     def test_alphabet_is_three_valued(self):
         vals = {
