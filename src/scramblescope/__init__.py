@@ -4,7 +4,6 @@ __version__ = "0.1.0"
 
 from .qhilbert import (  # noqa: F401
     DensityOperator,
-    HermitianOperator,
     SiteSubset,
     Spectrum,
     StateVector,

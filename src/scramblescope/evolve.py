@@ -14,7 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qhilbert import HermitianOperator, StateVector
+from .models import ChainHamiltonian
+from .qhilbert import StateVector
 
 
 @dataclass(frozen=True)
@@ -30,36 +31,13 @@ class Propagator:
     blocks: tuple
 
 
-def _components(h: HermitianOperator, states) -> list[np.ndarray]:
-    """Basis indices of each component of H's nonzero pattern that holds
-    some state's support, found by one breadth-first search per state."""
-    coupled = h.matrix != 0
-    coupled |= coupled.T
-    seen = np.zeros(h.dim, dtype=bool)
-    blocks = []
-    for psi in states:
-        frontier = (psi.amplitudes != 0) & ~seen
-        block = frontier.copy()
-        while frontier.any():
-            frontier = coupled[frontier].any(axis=0) & ~block
-            block |= frontier
-        if block.any():
-            seen |= block
-            blocks.append(np.flatnonzero(block))
-    return blocks
-
-
-def make_propagator(h: HermitianOperator, *states: StateVector) -> Propagator:
+def make_propagator(h: ChainHamiltonian, *states: StateVector) -> Propagator:
     """Propagator on the blocks the states reach; the whole space without states."""
     dim = h.dim
     if any(psi.dim != dim for psi in states):
         raise ValueError(f"state dims do not match Hamiltonian dim {dim}")
-    blocks = _components(h, states) if states else [np.arange(dim)]
-    # A block that spans the whole space is H itself, so it is not copied.
-    return Propagator(dim, tuple(
-        (b, *np.linalg.eigh(h.matrix if b.size == dim else h.matrix[np.ix_(b, b)]))
-        for b in blocks
-    ))
+    blocks = h.sectors(states) if states else [np.arange(dim)]
+    return Propagator(dim, tuple((b, *np.linalg.eigh(h.block(b))) for b in blocks))
 
 
 def evolve(p: Propagator, psi0: StateVector, t: float) -> StateVector:

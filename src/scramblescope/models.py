@@ -9,11 +9,12 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .qhilbert import HermitianOperator, PAULI_X, PAULI_Y, PAULI_Z
+from .qhilbert import PAULI_X, PAULI_Y, PAULI_Z
 
 MFIM_G_DEFAULT = (math.sqrt(5.0) + 5.0) / 8.0
 MFIM_H_DEFAULT = (math.sqrt(5.0) + 1.0) / 4.0
@@ -23,8 +24,8 @@ MBL_SEED_DEFAULT = 42
 # Projector onto spin down (sigma_z = -1), the state that admits a neighbor flip.
 PXP_PROJECTOR = (np.eye(2, dtype=complex) - PAULI_Z) / 2.0
 
-# Largest chain held as a dense matrix. At 14 sites H alone takes 4 GiB of
-# complex128, and diagonalising it holds several matrices of that size.
+# Largest chain. It bounds the whole-space TFIM and MFIM block: at 14 sites that
+# block takes 4 GiB of complex128, and its eigensolve holds several such matrices.
 MAX_DENSE_SITES = 13
 
 # Shortest chain of each kind: MFIM's longitudinal field skips both edge
@@ -40,9 +41,7 @@ def _check_length(kind: str, L: int) -> None:
 def check_dense_length(L: int) -> None:
     """Refuse a chain above MAX_DENSE_SITES, before anything of size L is built."""
     if L > MAX_DENSE_SITES:
-        raise ValueError(
-            f"an L={L} chain exceeds the dense limit of {MAX_DENSE_SITES} sites"
-        )
+        raise ValueError(f"an L={L} chain exceeds the dense limit of {MAX_DENSE_SITES} sites")
 
 
 @dataclass(frozen=True)
@@ -108,28 +107,79 @@ class ModelSpec:
                 raise ValueError("disorder length does not match chain length")
 
 
-def _chain_sum(L: int, terms) -> HermitianOperator:
-    """Dense sum of terms (coef, [(site, 2x2 op), ...]) on an L-site chain.
+@dataclass(frozen=True)
+class ChainHamiltonian:
+    """H on an L-site chain as its terms, each (offsets, coef * kron(ops)).
 
-    Sites within a term increase, and every unlisted site carries the
-    identity. A term therefore only connects basis states that agree on its
-    unlisted sites: its 2^k x 2^k local matrix is added at row base|r and
-    column base|c for every setting `base` of the unlisted bits, where r and
-    c set the term's own bits (site 0 is the most significant bit).
+    A term's offsets are the basis-index bits its sites set, in the row order
+    of its local matrix (site 0 is the most significant bit). Unlisted sites
+    carry the identity, so a term keeps every other bit of a basis index.
     """
+
+    n_sites: int
+    terms: tuple
+
+    @property
+    def dim(self) -> int:
+        return 2 ** self.n_sites
+
+    def _entries(self, rows: np.ndarray):
+        """Yield each term's (columns, values) on the given rows, in list order."""
+        for offsets, local in self.terms:
+            mask = offsets[-1]
+            yield (rows & ~mask)[:, None] | offsets, local[np.searchsorted(offsets, rows & mask)]
+
+    def block(self, rows: np.ndarray, cols: np.ndarray | None = None) -> np.ndarray:
+        """H on the basis indices rows x cols (cols = rows by default). Each
+        entry adds its terms in list order, as a dense scatter of them would."""
+        cols = rows if cols is None else cols
+        pos = np.full(self.dim, -1)
+        pos[cols] = np.arange(cols.size)
+        h = np.zeros((rows.size, cols.size), dtype=complex)
+        for reach, vals in self._entries(rows):
+            j = pos[reach]
+            i, k = np.nonzero(j >= 0)
+            h[i, j[i, k]] += vals[i, k]
+        return h
+
+    def sectors(self, states) -> list[np.ndarray]:
+        """Basis indices of each component of H's nonzero pattern that holds
+        some state's support, found by one breadth-first search per state.
+
+        Entries are tested after their terms are summed: the MBL XX and YY
+        terms each connect |00> and |11>, but they cancel.
+        """
+        seen = np.zeros(self.dim, dtype=bool)
+        blocks = []
+        for psi in states:
+            frontier = np.flatnonzero((psi.amplitudes != 0) & ~seen)
+            found = []
+            while frontier.size:
+                seen[frontier] = True
+                found.append(frontier)
+                # a mask, not np.unique: numpy 2.4's first np.unique imports numpy.ma (~15 ms)
+                near = np.zeros(self.dim, dtype=bool)
+                near[np.concatenate([c.ravel() for c, _ in self._entries(frontier)])] = True
+                near = np.flatnonzero(near & ~seen)
+                frontier = near[(self.block(frontier, near) != 0).any(axis=0)]
+            if found:
+                blocks.append(np.sort(np.concatenate(found)))
+        return blocks
+
+
+def _chain_sum(L: int, terms) -> ChainHamiltonian:
+    """Chain Hamiltonian of terms (coef, [(site, 2x2 op), ...]), sites increasing.
+    Every op is a Hermitian module constant, so a real coef keeps H Hermitian."""
     check_dense_length(L)
-    dim = 2 ** L
-    h = np.zeros((dim, dim), dtype=complex)
-    index = np.arange(dim)
+    prepared = []
     for coef, ops in terms:
+        if not (isinstance(coef, numbers.Real) and math.isfinite(coef)):
+            raise ValueError(f"coefficient {coef!r} is not a finite real number")
         offsets = np.zeros(1, dtype=np.int64)
         for site, _ in ops:
             offsets = (offsets[:, None] + [0, 1 << (L - 1 - site)]).reshape(-1)
-        base = index[(index & offsets[-1]) == 0]
-        rows = base[:, None] + offsets
-        local = functools.reduce(np.kron, (op for _, op in ops))
-        h[rows[:, :, None], rows[:, None, :]] += coef * local
-    return HermitianOperator(dim, h)
+        prepared.append((offsets, coef * functools.reduce(np.kron, (op for _, op in ops))))
+    return ChainHamiltonian(L, tuple(prepared))
 
 
 def _tfim_terms(L: int, J: float, g: float) -> list:
@@ -137,7 +187,7 @@ def _tfim_terms(L: int, J: float, g: float) -> list:
     return zz + [(g, [(i, PAULI_X)]) for i in range(L)]
 
 
-def build_tfim(L: int, J: float = 1.0, g: float = 0.6) -> HermitianOperator:
+def build_tfim(L: int, J: float = 1.0, g: float = 0.6) -> ChainHamiltonian:
     """Transverse-field Ising chain: J sum_z z + g sum_x, open boundaries."""
     _check_length("TFIM", L)
     return _chain_sum(L, _tfim_terms(L, J, g))
@@ -148,7 +198,7 @@ def build_mfim(
     J: float = 1.0,
     g: float = MFIM_G_DEFAULT,
     h: float = MFIM_H_DEFAULT,
-) -> HermitianOperator:
+) -> ChainHamiltonian:
     """Mixed-field Ising chain; the longitudinal field skips both edge sites."""
     _check_length("MFIM", L)
     fields = [(h, [(i, PAULI_Z)]) for i in range(1, L - 1)]
@@ -161,7 +211,7 @@ def build_mbl(
     J_z: float = 1.0,
     disorder: DisorderRealization | None = None,
     bond_scale: np.ndarray | None = None,
-) -> HermitianOperator:
+) -> ChainHamiltonian:
     """Disordered Heisenberg chain with S = sigma/2 operators.
 
     bond_scale optionally rescales both exchange couplings bond by bond
@@ -170,28 +220,20 @@ def build_mbl(
     if disorder is None:
         raise ValueError("MBL builder requires a disorder realization")
     if len(disorder.fields) != L:
-        raise ValueError(
-            f"disorder has {len(disorder.fields)} fields for an L={L} chain"
-        )
+        raise ValueError(f"disorder has {len(disorder.fields)} fields for an L={L} chain")
     if bond_scale is None:
         bond_scale = np.ones(L - 1)
     bond_scale = np.asarray(bond_scale, dtype=float)
     if bond_scale.shape != (L - 1,):
         raise ValueError("bond_scale must have one entry per bond")
     sx, sy, sz = PAULI_X / 2.0, PAULI_Y / 2.0, PAULI_Z / 2.0
-    terms = []
-    for i in range(L - 1):
-        s = bond_scale[i]
-        terms += [
-            (s * J_perp, [(i, sx), (i + 1, sx)]),
-            (s * J_perp, [(i, sy), (i + 1, sy)]),
-            (s * J_z, [(i, sz), (i + 1, sz)]),
-        ]
+    bonds = ((J_perp, sx), (J_perp, sy), (J_z, sz))
+    terms = [(s * c, [(i, a), (i + 1, a)]) for i, s in enumerate(bond_scale) for c, a in bonds]
     terms += [(disorder.fields[i], [(i, sz)]) for i in range(L)]
     return _chain_sum(L, terms)
 
 
-def build_pxp(L: int) -> HermitianOperator:
+def build_pxp(L: int) -> ChainHamiltonian:
     """Blockade-constrained flip chain: sum_i P_{i-1} X_i P_{i+1}.
 
     The open boundary is projected: the edge terms are X_0 P_1 and
@@ -204,7 +246,7 @@ def build_pxp(L: int) -> HermitianOperator:
     return _chain_sum(L, terms)
 
 
-def build_hamiltonian(spec: ModelSpec) -> HermitianOperator:
+def build_hamiltonian(spec: ModelSpec) -> ChainHamiltonian:
     """Build the spec's chain; its couplings are the builder's keyword arguments."""
     c = spec.couplings
     if spec.kind == "TFIM":

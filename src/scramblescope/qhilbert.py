@@ -4,9 +4,11 @@ Conventions used throughout the package: site 0 is the leftmost chain site
 and the most significant bit of a computational-basis index; bit value 0
 means spin up, i.e. the +1 eigenstate of sigma_z.
 
-All matrices are dense. Hamiltonians are refused above 13 sites
-(`models.MAX_DENSE_SITES`): at 14 sites one complex128 matrix takes 4 GiB.
-Reduced states are refused above MAX_REDUCED_SITES.
+States and reduced density matrices are dense arrays; Hamiltonians are
+term lists (`models.ChainHamiltonian`). Chains are refused above 13 sites
+(`models.MAX_DENSE_SITES`): at 14 sites the whole-space block of a TFIM or
+MFIM chain takes 4 GiB of complex128. Reduced states are refused above
+MAX_REDUCED_SITES.
 """
 
 from __future__ import annotations
@@ -29,10 +31,6 @@ HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / np.sqrt(2.0)
 PHASE_S = np.array([[1.0, 0.0], [0.0, 1.0j]], dtype=complex)
 
 
-def _as_complex_array(a) -> np.ndarray:
-    return np.asarray(a, dtype=complex)
-
-
 @dataclass(frozen=True)
 class StateVector:
     """Normalized pure state of an n_sites-qubit chain."""
@@ -41,7 +39,7 @@ class StateVector:
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        amps = _as_complex_array(self.amplitudes)
+        amps = np.asarray(self.amplitudes, dtype=complex)
         object.__setattr__(self, "amplitudes", amps)
         if amps.ndim != 1 or amps.shape[0] != 2 ** self.n_sites:
             raise ValueError(
@@ -101,37 +99,28 @@ class SiteSubset:
 
 
 @dataclass(frozen=True)
-class HermitianOperator:
-    """Hermitian operator on a dim-dimensional space."""
-
-    dim: int
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        m = _as_complex_array(self.matrix)
-        object.__setattr__(self, "matrix", m)
-        if m.shape != (self.dim, self.dim):
-            raise ValueError(f"matrix shape {m.shape} does not match dim {self.dim}")
-        if not abs(m - m.conj().T).max() <= HERM_ATOL:  # NaN fails it
-            raise ValueError("operator is not Hermitian")
-
-
-@dataclass(frozen=True)
-class DensityOperator(HermitianOperator):
+class DensityOperator:
     """Hermitian, unit-trace, positive-semidefinite operator on a subsystem.
 
     Its spectrum is built at construction, and building it is the
     positivity check.
     """
 
+    dim: int
+    matrix: np.ndarray
     spectrum: Spectrum = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        super().__post_init__()
-        tr = self.matrix.trace().real
+        m = np.asarray(self.matrix, dtype=complex)
+        object.__setattr__(self, "matrix", m)
+        if m.shape != (self.dim, self.dim):
+            raise ValueError(f"matrix shape {m.shape} does not match dim {self.dim}")
+        if not abs(m - m.conj().T).max() <= HERM_ATOL:  # NaN fails it
+            raise ValueError("operator is not Hermitian")
+        tr = m.trace().real
         if not abs(tr - 1.0) <= HERM_ATOL:
             raise ValueError(f"density matrix trace {tr} != 1")
-        object.__setattr__(self, "spectrum", Spectrum(np.linalg.eigvalsh(self.matrix)[::-1]))
+        object.__setattr__(self, "spectrum", Spectrum(np.linalg.eigvalsh(m)[::-1]))
 
 
 @dataclass(frozen=True)

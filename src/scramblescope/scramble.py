@@ -63,6 +63,7 @@ class ScrambleScenario:
             )
         if not 1 <= self.subsystem_size <= L:
             raise ValueError(f"subsystem size {self.subsystem_size} is not in [1, {L}]")
+        check_reduced_sites(self.subsystem_size)
         # Written so that NaN fails them.
         if grid.ndim != 1 or grid.size == 0 or not grid[0] >= 0:
             raise ValueError("time grid must be 1-D and start at t >= 0")
@@ -211,9 +212,10 @@ def shadow_metric_curve(
         raise ValueError(f"{mom.n_batches} batches of {mom.batch_size} exceed {shots} shots")
     if subsystem_sizes is None:
         subsystem_sizes = (s.subsystem_size,)
+    if len(subsystem_sizes) == 0:
+        raise ValueError("no subsystem sizes requested")
     for k in subsystem_sizes:
-        replace(s, subsystem_size=k)  # the scenario refuses a size outside [1, L]
-        check_reduced_sites(k)
+        replace(s, subsystem_size=k)  # the scenario refuses a size that it cannot hold
     subsets_by_size = [
         (k, qualifying_subsets(s.model.n_sites, k, "all_subsets")) for k in subsystem_sizes
     ]

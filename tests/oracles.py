@@ -13,7 +13,6 @@ from scramblescope.qhilbert import (
     PAULI_X,
     PAULI_Y,
     PAULI_Z,
-    HermitianOperator,
     SiteSubset,
     StateVector,
 )
@@ -32,7 +31,12 @@ def complement(subset: SiteSubset, n_sites: int) -> SiteSubset:
     return SiteSubset(i for i in range(n_sites) if i not in subset.indices)
 
 
-def kron_embed(local_ops, n_sites: int) -> HermitianOperator:
+def dense(h) -> np.ndarray:
+    """The whole 2^L x 2^L matrix of a chain Hamiltonian."""
+    return h.block(np.arange(h.dim))
+
+
+def kron_embed(local_ops, n_sites: int) -> np.ndarray:
     """Kronecker-embed single-site 2x2 Hermitian operators into the full chain.
 
     local_ops is an iterable of (site, 2x2 matrix) pairs; identity is used on
@@ -52,7 +56,7 @@ def kron_embed(local_ops, n_sites: int) -> HermitianOperator:
     full = np.ones((1, 1), dtype=complex)
     for site in range(n_sites):
         full = np.kron(full, ops.get(site, PAULI_I))
-    return HermitianOperator(2 ** n_sites, full)
+    return full
 
 
 def apply_local_unitary(state: StateVector, site: int, u) -> StateVector:

@@ -1,5 +1,7 @@
 """Exact time evolution checked against a dense matrix-exponential oracle."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,6 +11,8 @@ from scipy.linalg import expm
 from scramblescope.evolve import evolve, make_propagator
 from scramblescope.models import build_mbl, build_mfim, build_pxp, build_tfim, draw_disorder
 from scramblescope.qhilbert import StateVector, basis_state
+
+from oracles import dense
 
 BUILDERS = {
     "TFIM": build_tfim,
@@ -45,7 +49,7 @@ class TestEvolve:
             psi0 = random_state(4, rng)
             for t in (0.3, 1.7, 12.0):
                 got = evolve(p, psi0, t).amplitudes
-                want = expm(-1j * h.matrix * t) @ psi0.amplitudes
+                want = expm(-1j * dense(h) * t) @ psi0.amplitudes
                 assert np.max(np.abs(got - want)) < 1e-9
 
     def test_t_zero_is_identity(self):
@@ -70,9 +74,9 @@ class TestEvolve:
         h = build_tfim(4)
         p = make_propagator(h)
         psi0 = random_state(4, np.random.default_rng(6))
-        e0 = np.vdot(psi0.amplitudes, h.matrix @ psi0.amplitudes).real
+        e0 = np.vdot(psi0.amplitudes, dense(h) @ psi0.amplitudes).real
         psi = evolve(p, psi0, 7.3)
-        e1 = np.vdot(psi.amplitudes, h.matrix @ psi.amplitudes).real
+        e1 = np.vdot(psi.amplitudes, dense(h) @ psi.amplitudes).real
         assert abs(e0 - e1) < 1e-9
 
     def test_rejects_nonfinite_time(self):
@@ -127,8 +131,26 @@ class TestSector:
         assert len(p.blocks) == 2  # the two S^z sectors
         psi0 = StateVector(6, (pair[0].amplitudes + pair[1].amplitudes) / np.sqrt(2))
         for t in (0.4, 3.1, 25.0):
-            want = expm(-1j * h.matrix * t) @ psi0.amplitudes
+            want = expm(-1j * dense(h) * t) @ psi0.amplitudes
             assert np.max(np.abs(evolve(p, psi0, t).amplitudes - want)) <= 1e-12
+
+    @pytest.mark.parametrize("kind, site", [("PXP", 4), ("MBL", 5)])
+    def test_blocks_equal_the_dense_sum_bitwise(self, kind, site):
+        h = BUILDERS[kind](10)
+        full = dense(h)
+        for index, _, _ in make_propagator(h, *neel_pair(10, site)).blocks:
+            assert h.block(index).tobytes() == full[np.ix_(index, index)].tobytes()
+
+    def test_pxp_propagator_at_twelve_sites_builds_no_whole_space_matrix(self):
+        # the Neel pair reaches 377 states; a 4096 x 4096 complex H takes 256 MiB
+        pair = neel_pair(12, 6)
+        tracemalloc.start()
+        try:
+            make_propagator(build_pxp(12), *pair)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
 
     def test_rejects_state_of_other_dim(self):
         with pytest.raises(ValueError):
@@ -144,8 +166,8 @@ def test_sector_is_closed_and_matches_full_space(kind, L, data):
     p = make_propagator(h, *pair)
     reached = sector(p)
     rest = np.setdiff1d(np.arange(2**L), reached)
-    assert not np.any(h.matrix[np.ix_(reached, rest)])
-    assert not np.any(h.matrix[np.ix_(rest, reached)])
+    assert not np.any(dense(h)[np.ix_(reached, rest)])
+    assert not np.any(dense(h)[np.ix_(rest, reached)])
     full = make_propagator(h)
     for t in (0.0, 0.9, 17.0):
         for psi in pair:

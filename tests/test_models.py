@@ -25,7 +25,7 @@ from scramblescope.qhilbert import (
     PAULI_Z,
 )
 
-from oracles import bit_of, kron_embed
+from oracles import bit_of, dense, kron_embed
 
 
 class TestTFIM:
@@ -33,10 +33,10 @@ class TestTFIM:
         L, J, g = 4, 1.0, 0.6
         want = np.zeros((16, 16), dtype=complex)
         for i in range(L - 1):
-            want += J * kron_embed([(i, PAULI_Z), (i + 1, PAULI_Z)], L).matrix
+            want += J * kron_embed([(i, PAULI_Z), (i + 1, PAULI_Z)], L)
         for i in range(L):
-            want += g * kron_embed([(i, PAULI_X)], L).matrix
-        got = build_tfim(L, J, g).matrix
+            want += g * kron_embed([(i, PAULI_X)], L)
+        got = dense(build_tfim(L, J, g))
         assert np.max(np.abs(got - want)) < 1e-14
 
     def test_l2_spectrum_analytic(self):
@@ -45,12 +45,12 @@ class TestTFIM:
         # matrix couples (00,11) and (01,10) into two 2x2 blocks after the
         # symmetric/antisymmetric split, giving +-sqrt(1+4g^2) and +-1.
         g = 0.6
-        w = np.linalg.eigvalsh(build_tfim(2, 1.0, g).matrix)
+        w = np.linalg.eigvalsh(dense(build_tfim(2, 1.0, g)))
         want = np.sort([np.sqrt(1 + 4 * g * g), -np.sqrt(1 + 4 * g * g), 1.0, -1.0])
         assert np.allclose(w, want, atol=1e-12)
 
     def test_g_zero_is_classical(self):
-        h = build_tfim(3, 1.0, 0.0).matrix
+        h = dense(build_tfim(3, 1.0, 0.0))
         assert np.max(np.abs(h - np.diag(np.diag(h)))) < 1e-14
 
     def test_rejects_short_chain(self):
@@ -66,10 +66,10 @@ class TestTFIM:
 class TestMFIM:
     def test_difference_from_tfim_is_bulk_field(self):
         L = 5
-        diff = build_mfim(L).matrix - build_tfim(L, 1.0, MFIM_G_DEFAULT).matrix
+        diff = dense(build_mfim(L)) - dense(build_tfim(L, 1.0, MFIM_G_DEFAULT))
         want = np.zeros_like(diff)
         for i in range(1, L - 1):
-            want += MFIM_H_DEFAULT * kron_embed([(i, PAULI_Z)], L).matrix
+            want += MFIM_H_DEFAULT * kron_embed([(i, PAULI_Z)], L)
         assert np.max(np.abs(diff - want)) < 1e-13
 
     def test_default_couplings_values(self):
@@ -88,12 +88,12 @@ class TestMBL:
         sx, sy, sz = PAULI_X / 2, PAULI_Y / 2, PAULI_Z / 2
         want = np.zeros((16, 16), dtype=complex)
         for i in range(L - 1):
-            want += kron_embed([(i, sx), (i + 1, sx)], L).matrix
-            want += kron_embed([(i, sy), (i + 1, sy)], L).matrix
-            want += kron_embed([(i, sz), (i + 1, sz)], L).matrix
+            want += kron_embed([(i, sx), (i + 1, sx)], L)
+            want += kron_embed([(i, sy), (i + 1, sy)], L)
+            want += kron_embed([(i, sz), (i + 1, sz)], L)
         for i in range(L):
-            want += dis.fields[i] * kron_embed([(i, sz)], L).matrix
-        got = build_mbl(L, disorder=dis).matrix
+            want += dis.fields[i] * kron_embed([(i, sz)], L)
+        got = dense(build_mbl(L, disorder=dis))
         assert np.max(np.abs(got - want)) < 1e-12
 
     def test_disorder_reproducible(self):
@@ -118,15 +118,9 @@ class TestMBL:
         L = 4
         dis = draw_disorder(L, seed=2)
         scale = np.array([1.0, 0.0, 1.0])
-        h = build_mbl(L, disorder=dis, bond_scale=scale).matrix
-        left = build_mbl(
-            2,
-            disorder=DisorderRealization(dis.fields[:2], 2, 8.0),
-        ).matrix
-        right = build_mbl(
-            2,
-            disorder=DisorderRealization(dis.fields[2:], 2, 8.0),
-        ).matrix
+        h = dense(build_mbl(L, disorder=dis, bond_scale=scale))
+        left = dense(build_mbl(2, disorder=DisorderRealization(dis.fields[:2], 2, 8.0)))
+        right = dense(build_mbl(2, disorder=DisorderRealization(dis.fields[2:], 2, 8.0)))
         want = np.kron(left, np.eye(4)) + np.kron(np.eye(4), right)
         assert np.max(np.abs(h - want)) < 1e-12
 
@@ -143,17 +137,17 @@ class TestPXP:
         want = np.zeros((32, 32), dtype=complex)
         for i in range(1, L - 1):
             ops = [(i - 1, PXP_PROJECTOR), (i, PAULI_X), (i + 1, PXP_PROJECTOR)]
-            want += kron_embed(ops, L).matrix
-        want += kron_embed([(0, PAULI_X), (1, PXP_PROJECTOR)], L).matrix
-        want += kron_embed([(L - 2, PXP_PROJECTOR), (L - 1, PAULI_X)], L).matrix
-        got = build_pxp(L).matrix
+            want += kron_embed(ops, L)
+        want += kron_embed([(0, PAULI_X), (1, PXP_PROJECTOR)], L)
+        want += kron_embed([(L - 2, PXP_PROJECTOR), (L - 1, PAULI_X)], L)
+        got = dense(build_pxp(L))
         assert np.max(np.abs(got - want)) < 1e-14
 
     def test_preserves_blockade_subspace(self):
         # no matrix element connects a constrained state to a state with two
         # adjacent excited (bit 0) sites
         L = 6
-        h = build_pxp(L).matrix
+        h = dense(build_pxp(L))
 
         def valid(idx):
             bits = [bit_of(idx, s, L) for s in range(L)]
@@ -174,12 +168,12 @@ class TestModelSpec:
             (ModelSpec("MBL", 4, disorder=dis), build_mbl(4, disorder=dis)),
         ]
         for spec, want in cases:
-            assert np.array_equal(build_hamiltonian(spec).matrix, want.matrix)
+            assert np.array_equal(dense(build_hamiltonian(spec)), dense(want))
 
     def test_coupling_overrides(self):
         spec = ModelSpec("TFIM", 3, couplings={"J": 2.0, "g": 0.1})
         assert np.array_equal(
-            build_hamiltonian(spec).matrix, build_tfim(3, 2.0, 0.1).matrix
+            dense(build_hamiltonian(spec)), dense(build_tfim(3, 2.0, 0.1))
         )
         dis = draw_disorder(4)
         cases = [
@@ -190,7 +184,7 @@ class TestModelSpec:
              build_mbl(4, J_perp=0.5, J_z=2.0, disorder=dis)),
         ]
         for spec, want in cases:
-            assert np.array_equal(build_hamiltonian(spec).matrix, want.matrix)
+            assert np.array_equal(dense(build_hamiltonian(spec)), dense(want))
 
     @pytest.mark.parametrize(
         "kind,couplings",
@@ -275,5 +269,5 @@ def test_builders_equal_kron_embed_sum_exactly(got, terms):
     # the builders add the same terms in the same order as this dense sum
     want = np.zeros((2**_L, 2**_L), dtype=complex)
     for coef, ops in terms:
-        want += coef * kron_embed(ops, _L).matrix
-    assert np.array_equal(got().matrix, want)
+        want += coef * kron_embed(ops, _L)
+    assert np.array_equal(dense(got()), want)

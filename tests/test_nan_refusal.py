@@ -5,13 +5,8 @@ import numpy as np
 import pytest
 
 from scramblescope.evolve import make_propagator
-from scramblescope.models import DisorderRealization, ModelSpec, draw_disorder
-from scramblescope.qhilbert import (
-    DensityOperator,
-    HermitianOperator,
-    Spectrum,
-    StateVector,
-)
+from scramblescope.models import DisorderRealization, ModelSpec, build_tfim, draw_disorder
+from scramblescope.qhilbert import DensityOperator, Spectrum, StateVector
 from scramblescope.scramble import ScrambleScenario
 
 NAN = float("nan")
@@ -19,12 +14,13 @@ INF = float("inf")
 
 CASES = {
     "state": lambda: StateVector(1, [NAN, 0.0]),
-    "hermitian": lambda: HermitianOperator(2, [[1.0, NAN], [NAN, 1.0]]),
+    # H is Hermitian because its coefficients are real and finite
+    "hermitian": lambda: build_tfim(2, J=NAN),
     "density": lambda: DensityOperator(2, [[0.5, NAN], [NAN, 0.5]]),
     "density_inf": lambda: DensityOperator(2, [[INF, 0.0], [0.0, 0.5]]),
     "spectrum": lambda: Spectrum([NAN, 1.0]),
     "spectrum_inf": lambda: Spectrum([INF, 0.0]),
-    "make_propagator": lambda: make_propagator(HermitianOperator(2, np.diag([NAN, 1.0]))),
+    "make_propagator": lambda: make_propagator(build_tfim(2, J=1j)),
     "disorder_fields": lambda: DisorderRealization(np.array([NAN, 0.5]), 0, 8.0),
     "disorder_width": lambda: draw_disorder(4, W=NAN),
     "time_grid": lambda: ScrambleScenario(

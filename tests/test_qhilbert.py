@@ -148,12 +148,12 @@ class TestSpectrum:
 
 class TestKronEmbed:
     def test_matches_manual_kron(self):
-        got = kron_embed([(0, PAULI_Z), (2, PAULI_X)], 3).matrix
+        got = kron_embed([(0, PAULI_Z), (2, PAULI_X)], 3)
         want = np.kron(np.kron(PAULI_Z, PAULI_I), PAULI_X)
         assert np.array_equal(got, want)
 
     def test_identity_default(self):
-        got = kron_embed([], 2).matrix
+        got = kron_embed([], 2)
         assert np.array_equal(got, np.eye(4))
 
     def test_rejects_out_of_range(self):
@@ -171,7 +171,7 @@ class TestApplyLocalUnitary:
         for site in range(4):
             psi = random_state(4, rng)
             got = apply_local_unitary(psi, site, HADAMARD)
-            dense = kron_embed([(site, HADAMARD)], 4).matrix
+            dense = kron_embed([(site, HADAMARD)], 4)
             assert np.allclose(got.amplitudes, dense @ psi.amplitudes, atol=1e-12)
 
     def test_flip_matches_basis_state(self):

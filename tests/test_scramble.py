@@ -55,6 +55,20 @@ class TestScenarioValidation:
         with pytest.raises(ValueError, match="inactive"):
             scenario(kind="PXP", L=6, site=3)
 
+    @pytest.mark.parametrize(
+        "run",
+        [exact_metric_grid, lambda s: mbl_cage_compare(SiteSubset(range(13)), s)],
+        ids=["exact_metric_grid", "mbl_cage_compare"],
+    )
+    def test_refuses_subsystem_above_reduced_limit_before_building(self, monkeypatch, run):
+        def must_not_build(*a, **k):
+            raise AssertionError("built H before the subsystem size was checked")
+
+        monkeypatch.setattr(scramble, "build_hamiltonian", must_not_build)
+        monkeypatch.setattr(models, "build_mbl", must_not_build)
+        with pytest.raises(ValueError, match="a 13-site reduced state exceeds the limit of 12 sites"):
+            run(scenario(kind="MBL", L=13, site=6, size=13))
+
     def test_rejects_decreasing_grid(self):
         with pytest.raises(ValueError):
             scenario(times=(1.0, 0.5))
@@ -251,6 +265,7 @@ class TestShadowCurve:
             (4, (5,), r"subsystem size 5 is not in \[1, 4\]"),
             (4, (2, 0), r"subsystem size 0 is not in \[1, 4\]"),
             (13, (13,), "a 13-site reduced state exceeds the limit of 12 sites"),
+            (4, (), "no subsystem sizes requested"),
         ],
     )
     def test_refuses_sizes_before_building(self, monkeypatch, L, sizes, message):
