@@ -27,6 +27,7 @@ _SUB_INV_S = 1.0 / _SUB_S
 _SUB_LOG1P_INV_S = np.log1p(_SUB_INV_S)
 _SUB_W = 0.25 * _SUB_S * _SUB_S / (1.0 + _SUB_S)
 _SUB_W[[0, -1]] /= 2.0
+SUBENTROPY_NODES = _SUB_S.size
 
 
 @dataclass(frozen=True)
@@ -44,16 +45,43 @@ class Ensemble:
         object.__setattr__(self, "average", DensityOperator(self.first.dim, avg))
 
 
+def entropies(values: np.ndarray) -> np.ndarray:
+    """-sum w ln w of each spectrum in a (..., d) stack, with 0 ln 0 := 0.
+
+    The spectra are checked ones, clipped at 0 and sorted in descending
+    order, so each row's positive values lead it. Rows with the same number
+    n of them are summed together over their first n values alone, as a
+    single row is: a sum padded with zeros may round differently.
+    """
+    w = values.reshape(-1, values.shape[-1])
+    n_pos = np.count_nonzero(w > 0.0, axis=1)
+    out = np.empty(len(w))
+    for n in set(n_pos.tolist()):
+        rows = n_pos == n
+        nz = w[rows, :n]
+        out[rows] = -(nz * np.log(nz)).sum(axis=1)
+    return out.reshape(values.shape[:-1])
+
+
 def von_neumann(rho: DensityOperator) -> float:
     """-Tr(rho ln rho) in nats, with the 0 ln 0 := 0 convention."""
-    w = rho.spectrum.values
-    nz = w[w > 0.0]
-    return float(-(nz * np.log(nz)).sum())
+    return float(entropies(rho.spectrum.values))
+
+
+def pair_gain(values: np.ndarray) -> np.ndarray:
+    """A quantity of the average state minus its mean over the two members,
+    given its values on (first, second, average) stacked on axis 0."""
+    return values[2] - (0.5 * values[0] + 0.5 * values[1])
+
+
+def _spectra(e: Ensemble) -> np.ndarray:
+    """(3, d) spectra of the first member, the second and their average."""
+    return np.array([rho.spectrum.values for rho in (e.first, e.second, e.average)])
 
 
 def holevo_chi(e: Ensemble) -> float:
     """Entropy of the average state minus the average member entropy."""
-    return von_neumann(e.average) - (0.5 * von_neumann(e.first) + 0.5 * von_neumann(e.second))
+    return float(pair_gain(entropies(_spectra(e))))
 
 
 # ---------------------------------------------------------------------------
@@ -61,16 +89,16 @@ def holevo_chi(e: Ensemble) -> float:
 # gap-free forms (an integral and a divided-difference recurrence).
 
 
-def _subentropies(values: np.ndarray) -> list[float]:
-    """Subentropy of each row of a (k, d) stack of spectra.
+def subentropies(values: np.ndarray) -> np.ndarray:
+    """Subentropy of each spectrum in a (..., d) stack.
 
-    All rows share one log1p/expm1 pass; each row then takes its own dot
-    product with the weights, since a stacked matrix-vector product may
-    round differently from the single-row one.
+    All rows share one log1p/expm1 pass. Each row then takes its dot
+    product with the weights as a (1, n) @ (n, 1) matmul, which rounds as
+    the single-row dot does; a stacked matrix-vector product may not.
     """
-    lam = values / values.sum(axis=1, keepdims=True)
-    d = _SUB_LOG1P_INV_S - np.log1p(lam[:, :, None] * _SUB_INV_S).sum(axis=1)
-    return [0.0 - float(g @ _SUB_W) for g in np.expm1(d)]  # a pure state gives +0.0
+    lam = values / values.sum(axis=-1, keepdims=True)
+    d = _SUB_LOG1P_INV_S - np.log1p(lam[..., None] * _SUB_INV_S).sum(axis=-2)
+    return 0.0 - (np.expm1(d)[..., None, :] @ _SUB_W[:, None])[..., 0, 0]  # a pure state gives +0.0
 
 
 def subentropy(spec: Spectrum) -> float:
@@ -82,15 +110,12 @@ def subentropy(spec: Spectrum) -> float:
     which has no eigenvalue gaps in it. The integral is a trapezoid sum in
     u = ln s, with g(s) = s/(1+s) expm1(log1p(1/s) - sum_j log1p(l_j/s)).
     """
-    return _subentropies(spec.values[None])[0]
+    return float(subentropies(spec.values))
 
 
 def chi_q(e: Ensemble) -> float:
     """Subentropy of the average state minus the average member subentropy."""
-    avg, first, second = _subentropies(
-        np.array([rho.spectrum.values for rho in (e.average, e.first, e.second)])
-    )
-    return avg - (0.5 * first + 0.5 * second)
+    return float(pair_gain(subentropies(_spectra(e))))
 
 
 def q2_from_purity_value(p: float) -> float:

@@ -147,8 +147,10 @@ class ChainHamiltonian:
         some state's support, found by one breadth-first search per state.
 
         Entries are tested after their terms are summed: the MBL XX and YY
-        terms each connect |00> and |11>, but they cancel.
+        terms each connect |00> and |11>, but they cancel. Diagonal terms
+        (ZZ, Z fields) are left out, since they reach no other state.
         """
+        hops = ChainHamiltonian(self.n_sites, tuple(t for t in self.terms if _off_diagonal(t[1])))
         seen = np.zeros(self.dim, dtype=bool)
         blocks = []
         for psi in states:
@@ -158,13 +160,19 @@ class ChainHamiltonian:
                 seen[frontier] = True
                 found.append(frontier)
                 # a mask, not np.unique: numpy 2.4's first np.unique imports numpy.ma (~15 ms)
+                # the frontier, already seen, keeps the list nonempty when no term hops
                 near = np.zeros(self.dim, dtype=bool)
-                near[np.concatenate([c.ravel() for c, _ in self._entries(frontier)])] = True
+                near[np.concatenate([frontier, *(c.ravel() for c, _ in hops._entries(frontier))])] = True
                 near = np.flatnonzero(near & ~seen)
-                frontier = near[(self.block(frontier, near) != 0).any(axis=0)]
+                frontier = near[(hops.block(frontier, near) != 0).any(axis=0)]
             if found:
                 blocks.append(np.sort(np.concatenate(found)))
         return blocks
+
+
+def _off_diagonal(local: np.ndarray) -> bool:
+    """Whether a term's local matrix has a nonzero entry off its diagonal."""
+    return bool((local - np.diag(local.diagonal())).any())
 
 
 def _chain_sum(L: int, terms) -> ChainHamiltonian:

@@ -13,7 +13,6 @@ MAX_REDUCED_SITES.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -115,11 +114,7 @@ class DensityOperator:
         object.__setattr__(self, "matrix", m)
         if m.shape != (self.dim, self.dim):
             raise ValueError(f"matrix shape {m.shape} does not match dim {self.dim}")
-        if not abs(m - m.conj().T).max() <= HERM_ATOL:  # NaN fails it
-            raise ValueError("operator is not Hermitian")
-        tr = m.trace().real
-        if not abs(tr - 1.0) <= HERM_ATOL:
-            raise ValueError(f"density matrix trace {tr} != 1")
+        check_density(m)
         object.__setattr__(self, "spectrum", Spectrum(np.linalg.eigvalsh(m)[::-1]))
 
 
@@ -137,16 +132,41 @@ class Spectrum:
         v = np.asarray(self.values, dtype=float)
         if v.ndim != 1 or v.size == 0:
             raise ValueError("spectrum must be a nonempty 1-D array")
-        total = v.sum()
-        if not math.isfinite(total):  # any nan or inf entry makes the sum non-finite
-            raise ValueError(f"spectrum has non-finite values: {v}")
+        values = _check_spectra(v)
         if (v[1:] > v[:-1]).any():
             raise ValueError("spectrum must be sorted in descending order")
-        if v[-1] < -EIG_ATOL or v[0] > 1.0 + EIG_ATOL:
-            raise ValueError(f"eigenvalues outside [0, 1]: {v}")
-        if abs(total - 1.0) > 1e-8:
-            raise ValueError(f"spectrum sums to {total}, expected 1")
-        object.__setattr__(self, "values", np.maximum(v, 0.0))
+        object.__setattr__(self, "values", values)
+
+
+def _check_spectra(v: np.ndarray) -> np.ndarray:
+    """Refuse any spectrum in the (..., d) stack v that is not finite, has a
+    value outside [-EIG_ATOL, 1 + EIG_ATOL] or does not sum to 1; return the
+    stack with the round-off below 0 clipped to 0."""
+    total = v.sum(axis=-1)
+    if not np.isfinite(total).all():  # any nan or inf entry makes its sum non-finite
+        raise ValueError(f"spectrum has non-finite values: {v}")
+    if v.min() < -EIG_ATOL or v.max() > 1.0 + EIG_ATOL:
+        raise ValueError(f"eigenvalues outside [0, 1]: {v}")
+    if (abs(total - 1.0) > 1e-8).any():
+        raise ValueError(f"spectrum sums to {total}, expected 1")
+    return np.maximum(v, 0.0)
+
+
+def check_density(m: np.ndarray) -> None:
+    """Refuse a (..., d, d) stack holding a matrix that is not Hermitian or
+    not of unit trace."""
+    if not abs(m - m.conj().swapaxes(-1, -2)).max() <= HERM_ATOL:  # NaN fails it
+        raise ValueError("operator is not Hermitian")
+    tr = np.trace(m, axis1=-2, axis2=-1).real
+    if not (abs(tr - 1.0) <= HERM_ATOL).all():
+        raise ValueError(f"density matrix trace {tr} != 1")
+
+
+def density_spectra(m: np.ndarray) -> np.ndarray:
+    """Checked spectra of a (..., d, d) stack that passed check_density: one
+    stacked eigvalsh, each row sorted in descending order and clipped at 0,
+    as a DensityOperator's spectrum is."""
+    return _check_spectra(np.linalg.eigvalsh(m)[..., ::-1])
 
 
 # Most sites of a reduced density matrix: a whole-chain grid peaked at 425 MiB
@@ -160,6 +180,36 @@ def check_reduced_sites(k: int) -> None:
         raise ValueError(f"a {k}-site reduced state exceeds the limit of {MAX_REDUCED_SITES} sites")
 
 
+def reduced_offsets(n_sites: int, sites: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Basis-index offsets that gather each (d_A, d_B) reshape of a state.
+
+    For an (S, k) array of kept sites, one subset per row, returns the
+    offsets (S, d_A) of every bit pattern on the kept sites and (S, d_B) of
+    every pattern on the other sites, the first site of each most
+    significant: amplitude kept[j, a] + rest[j, b] is entry (a, b) of
+    subset j's reshape.
+    """
+    S, k = sites.shape
+    outside = np.ones((S, n_sites), dtype=bool)
+    outside[np.arange(S)[:, None], sites] = False
+    rest = np.nonzero(outside)[1].reshape(S, n_sites - k)
+
+    def offsets(chosen):
+        m = chosen.shape[1]
+        bits = (np.arange(2**m)[:, None] >> np.arange(m - 1, -1, -1)) & 1
+        return (1 << (n_sites - 1 - chosen)) @ bits.T
+
+    return offsets(sites), offsets(rest)
+
+
+def reduced_matrices(m: np.ndarray) -> np.ndarray:
+    """M M^dag for each (d_A, d_B) reshape M of a pure state in a
+    (..., d_A, d_B) stack, made exactly Hermitian: the reduced density
+    matrices on the kept sites."""
+    rho = m @ m.conj().swapaxes(-1, -2)
+    return 0.5 * (rho + rho.conj().swapaxes(-1, -2))
+
+
 def partial_trace(state: StateVector, keep: SiteSubset) -> DensityOperator:
     """Reduced density matrix of a pure state on the kept sites."""
     keep.validate_for(state.n_sites)
@@ -168,12 +218,15 @@ def partial_trace(state: StateVector, keep: SiteSubset) -> DensityOperator:
     order = kept + tuple(i for i in range(n) if i not in kept)
     d = 2 ** len(kept)
     mat = state.amplitudes.reshape((2,) * n).transpose(order).reshape(d, -1)
-    rho = mat @ mat.conj().T
-    rho = 0.5 * (rho + rho.conj().T)
-    return DensityOperator(d, rho)
+    return DensityOperator(d, reduced_matrices(mat))
+
+
+def purities(m: np.ndarray) -> np.ndarray:
+    """Tr(rho^2) of each matrix of a (..., d, d) stack via the squared
+    Frobenius norm (Hermitian shortcut)."""
+    return (abs(m.reshape(*m.shape[:-2], -1)) ** 2).sum(axis=-1)
 
 
 def purity(rho: DensityOperator) -> float:
     """Tr(rho^2) via the squared Frobenius norm (Hermitian shortcut)."""
-    return float((abs(rho.matrix) ** 2).sum())
-
+    return float(purities(rho.matrix))

@@ -14,16 +14,19 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .evolve import evolve, make_propagator
-from .infotheory import Ensemble, chi2_from_purities, chi_q, holevo_chi
+from .infotheory import SUBENTROPY_NODES, chi2_from_purities, entropies, pair_gain, subentropies
 from .models import ModelSpec, build_hamiltonian
 from .qhilbert import (
     DensityOperator,
     SiteSubset,
     StateVector,
     basis_state,
+    check_density,
     check_reduced_sites,
-    partial_trace,
-    purity,
+    density_spectra,
+    purities,
+    reduced_matrices,
+    reduced_offsets,
 )
 from .seeding import substream_rng
 from .shadows import MoMConfig, check_shadow_memory, chi2_estimate_many, sample_shadow_set
@@ -146,26 +149,105 @@ def qualifying_subsets(L: int, k: int, policy: str) -> list[SiteSubset]:
     raise ValueError(f"unknown subset policy {policy!r}")
 
 
-def exact_chi2_pair(rho1: DensityOperator, rho2: DensityOperator) -> float:
-    """chi2 of an equal-weight pair, from its two purities and their overlap."""
-    p1, p2 = purity(rho1), purity(rho2)
-    overlap = np.vdot(rho1.matrix, rho2.matrix).real
-    return chi2_from_purities(p1, p2, (p1 + p2 + 2.0 * overlap) / 4.0, rho1.dim)
+def exact_chi2_pair(rho1: DensityOperator | np.ndarray, rho2: DensityOperator | np.ndarray):
+    """chi2 of an equal-weight pair, from its two purities and their overlap.
+
+    Takes two DensityOperators, or two (..., d, d) stacks of density
+    matrices of one shape, and gives a float for one pair or an array of the
+    stacks' leading shape. A stack is checked as a DensityOperator is,
+    Hermitian with unit trace, but not for positivity, which needs its
+    spectrum: chi2 reads only the purities and the overlap.
+    """
+    m1, m2 = (_checked_matrices(rho) for rho in (rho1, rho2))
+    if m1.shape != m2.shape:
+        raise ValueError(f"density matrix shapes {m1.shape} and {m2.shape} differ")
+    d = m1.shape[-1]
+    p1, p2 = purities(m1), purities(m2)
+    # each (1, d^2) @ (d^2, 1) product rounds as np.vdot of the two matrices does
+    overlap = (m1.reshape(*m1.shape[:-2], 1, d * d).conj() @ m2.reshape(*m2.shape[:-2], d * d, 1)).real
+    p_mix = (p1 + p2 + 2.0 * overlap[..., 0, 0]) / 4.0
+    # math.log per value: a vectorised np.log may round differently
+    purity_triples = zip(p1.ravel().tolist(), p2.ravel().tolist(), p_mix.ravel().tolist())
+    chi2 = [chi2_from_purities(a, b, mix, d) for a, b, mix in purity_triples]
+    return chi2[0] if p1.ndim == 0 else np.reshape(chi2, p1.shape)
 
 
-def _exact_metrics(pair, subsets, metrics=("chi2",)) -> np.ndarray:
-    """(metric, subset) exact values on each subset's pair of reduced states."""
-    out = np.empty((len(metrics), len(subsets)))
-    for j, subset in enumerate(subsets):
-        rho1, rho2 = partial_trace(pair[0], subset), partial_trace(pair[1], subset)
-        ens = Ensemble(rho1, rho2) if "holevo" in metrics or "chi_q" in metrics else None
-        out[:, j] = [
-            exact_chi2_pair(rho1, rho2) if m == "chi2"
-            else holevo_chi(ens) if m == "holevo"
-            else chi_q(ens)
-            for m in metrics
-        ]
-    return out
+def _checked_matrices(rho: DensityOperator | np.ndarray) -> np.ndarray:
+    """The matrix of a DensityOperator, or a (..., d, d) stack that passes
+    check_density."""
+    if isinstance(rho, DensityOperator):
+        return rho.matrix
+    m = np.asarray(rho, dtype=complex)
+    if m.ndim < 2 or m.shape[-2] != m.shape[-1]:
+        raise ValueError(f"an array of shape {m.shape} is not a stack of square matrices")
+    check_density(m)
+    return m
+
+
+# Most bytes that one chunk of subsets may take in _exact_metrics, which
+# measures at least one subset per chunk however large it is. The 45 two-site
+# subsets of an L=10 chain fit in one chunk.
+_CHUNK_BYTES = 8 << 20
+
+
+def _subset_bytes(n_sites: int, d: int, metrics) -> int:
+    """Bytes that one subset adds to a chunk, at most: its gather index and
+    both gathered states with their conjugates (72 bytes per amplitude),
+    twelve complex d x d matrices for its three reduced states and the
+    temporaries of checking and solving them, and chi_q's two (3, d, nodes)
+    integrand arrays."""
+    return 72 * 2**n_sites + 16 * 12 * d * d + ("chi_q" in metrics) * 2 * 8 * 3 * d * SUBENTROPY_NODES
+
+
+def _subset_offsets(n_sites: int, subsets) -> tuple[np.ndarray, np.ndarray]:
+    """reduced_offsets of same-size subsets of an n_sites chain. An
+    experiment builds them once and hands them to _exact_metrics at every
+    time point."""
+    sites = np.array([s.indices for s in subsets])
+    if sites.ndim != 2:
+        raise ValueError("the subsets must share one size")
+    if sites.max() >= n_sites:
+        raise ValueError(f"site {sites.max()} out of range for {n_sites}-site chain")
+    check_reduced_sites(sites.shape[1])
+    return reduced_offsets(n_sites, sites)
+
+
+def _stacked_metrics(amplitudes: np.ndarray, kept: np.ndarray, rest: np.ndarray, metrics) -> np.ndarray:
+    """(metric, subset) exact values from a (2, 2^n) stack of the pair's
+    amplitudes and the subsets' reduced_offsets. Both members' reduced
+    states, and their average when a spectral metric needs it, are formed,
+    checked and solved as one stack."""
+    rho = reduced_matrices(np.take(amplitudes, kept[:, :, None] + rest[:, None, :], axis=-1))
+    values = {}
+    if "chi2" in metrics:
+        values["chi2"] = exact_chi2_pair(rho[0], rho[1])  # which checks both members' stacks
+    else:
+        check_density(rho)
+    if "holevo" in metrics or "chi_q" in metrics:
+        # the average of two stacks that passed check_density passes it too
+        rho = np.concatenate([rho, (0.5 * rho[0] + 0.5 * rho[1])[None]])
+    spectra = density_spectra(rho)
+    if "holevo" in metrics:
+        values["holevo"] = pair_gain(entropies(spectra))
+    if "chi_q" in metrics:
+        values["chi_q"] = pair_gain(subentropies(spectra))
+    return np.array([values[m] for m in metrics])
+
+
+def _exact_metrics(pair, offsets, metrics=("chi2",)) -> np.ndarray:
+    """(metric, subset) exact values on each subset's pair of reduced states.
+
+    offsets are the subsets' _subset_offsets. The subsets are measured in
+    chunks of at most _CHUNK_BYTES, one stack per chunk.
+    """
+    kept, rest = offsets
+    step = max(1, _CHUNK_BYTES // _subset_bytes(pair[0].n_sites, kept.shape[1], metrics))
+    amplitudes = np.array([psi.amplitudes for psi in pair])
+    chunks = [
+        _stacked_metrics(amplitudes, kept[lo : lo + step], rest[lo : lo + step], metrics)
+        for lo in range(0, len(kept), step)
+    ]
+    return np.concatenate(chunks, axis=1)
 
 
 def exact_metric_grid(
@@ -185,9 +267,10 @@ def exact_metric_grid(
     sites = tuple(range(L)) if policy == "windows_containing_x" else (0,)
     # owner[j, c]: whether subset j takes part in column c's maximum
     owner = np.array([[policy == "all_subsets" or x in sub.indices for x in sites] for sub in subsets])
+    offsets = _subset_offsets(L, subsets)
     values = np.zeros((len(metrics), len(s.time_grid), len(sites)))
     for ti, pair in enumerate(states):
-        vals = _exact_metrics(pair, subsets, metrics)
+        vals = _exact_metrics(pair, offsets, metrics)
         values[:, ti] = np.where(owner, vals[:, :, None], -np.inf).max(axis=1)
     values = np.maximum(values, 0.0)
     return GridResult(
@@ -220,6 +303,7 @@ def shadow_metric_curve(
         (k, qualifying_subsets(s.model.n_sites, k, "all_subsets")) for k in subsystem_sizes
     ]
     check_shadow_memory(s.model.n_sites, shots, mom, *subsystem_sizes)
+    offsets_by_size = [_subset_offsets(s.model.n_sites, subsets) for _, subsets in subsets_by_size]
     states = _trajectory(build_hamiltonian(s.model), prepare_ensemble(s), s.time_grid)
     rows = []
     for ti, (t, pair) in enumerate(zip(s.time_grid, states)):
@@ -227,9 +311,9 @@ def shadow_metric_curve(
             sample_shadow_set(psi, shots, substream_rng(seed, f"shadow:{label}", ti))
             for psi, label in zip(pair, ("state1", "state2"))
         )
-        for k, subsets in subsets_by_size:
+        for (k, subsets), offsets in zip(subsets_by_size, offsets_by_size):
             ests = chi2_estimate_many(set1, set2, subsets, mom)
-            exact = float(_exact_metrics(pair, subsets).max())
+            exact = float(_exact_metrics(pair, offsets).max())
             rows.append(
                 {
                     "t": float(t),
@@ -290,13 +374,14 @@ def mbl_cage_compare(
     bits = _initial_bits(s.model.kind, L_full)
     cage_pair = _flip_pair([bits[i] for i in idx], idx.index(s.perturbation_site))
     window_rel = SiteSubset(idx.index(x) for x in window)
+    full_offsets, cage_offsets = _subset_offsets(L_full, [window]), _subset_offsets(len(idx), [window_rel])
     full = _trajectory(h_full, prepare_ensemble(s), s.time_grid)
     cage = _trajectory(h_cage, cage_pair, s.time_grid)
     return [
         {
             "t": float(t),
-            "chi2_full": float(_exact_metrics(in_chain, [window])[0, 0]),
-            "chi2_cage": float(_exact_metrics(isolated, [window_rel])[0, 0]),
+            "chi2_full": float(_exact_metrics(in_chain, full_offsets)[0, 0]),
+            "chi2_cage": float(_exact_metrics(isolated, cage_offsets)[0, 0]),
         }
         for t, in_chain, isolated in zip(s.time_grid, full, cage)
     ]

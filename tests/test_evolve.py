@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
+from scipy.sparse.csgraph import connected_components
 
 from scramblescope.evolve import evolve, make_propagator
 from scramblescope.models import build_mbl, build_mfim, build_pxp, build_tfim, draw_disorder
@@ -155,6 +156,29 @@ class TestSector:
     def test_rejects_state_of_other_dim(self):
         with pytest.raises(ValueError):
             make_propagator(build_tfim(3), basis_state(2, [0, 0]))
+
+    @pytest.mark.parametrize(
+        "h",
+        [
+            build_pxp(8),
+            BUILDERS["MBL"](8),
+            build_tfim(8),
+            # no term hops: each state is its own block
+            build_mbl(8, J_perp=0.0, disorder=draw_disorder(8, seed=42)),
+        ],
+        ids=["PXP", "MBL", "TFIM", "MBL-no-hops"],
+    )
+    def test_sectors_are_the_connected_components_of_the_dense_pattern(self, h):
+        _, label = connected_components(dense(h) != 0, directed=False)
+        pair = neel_pair(8, 4)
+        want, taken = [], set()
+        for psi in pair:
+            parts = set(label[np.flatnonzero(psi.amplitudes)]) - taken
+            taken |= parts
+            if parts:
+                want.append(np.flatnonzero(np.isin(label, list(parts))))
+        got = h.sectors(pair)
+        assert len(got) == len(want) and all(np.array_equal(g, w) for g, w in zip(got, want))
 
 
 @given(st.sampled_from(sorted(BUILDERS)), st.integers(3, 6), st.data())

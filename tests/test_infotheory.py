@@ -22,6 +22,7 @@ from scramblescope.infotheory import (
     _haar_unitaries,
     chi2_from_purities,
     chi_q,
+    entropies,
     haar_moment_mc,
     holevo_chi,
     q2_contour,
@@ -30,6 +31,7 @@ from scramblescope.infotheory import (
     q2_spectral,
     random_density,
     random_spectrum,
+    subentropies,
     subentropy,
     von_neumann,
 )
@@ -111,6 +113,16 @@ class TestVonNeumann:
             rho = random_density(4, rng)
             want = float(-np.trace(rho.matrix @ logm(rho.matrix)).real)
             assert abs(von_neumann(rho) - want) < 1e-9
+
+    @pytest.mark.parametrize("d", [4, 8, 16, 64])
+    def test_stack_sums_each_row_over_its_positive_values_alone(self, d):
+        # a row padded with zeros into a wider sum may round differently
+        rng = np.random.default_rng(d)
+        stack = np.zeros((3, d, d))
+        for row, n in zip(stack.reshape(-1, d), itertools.cycle(range(1, d + 1))):
+            row[:n] = np.sort(rng.dirichlet(np.ones(n)))[::-1]
+        want = [-(w[w > 0] * np.log(w[w > 0])).sum() for w in stack.reshape(-1, d)]
+        assert entropies(stack).tolist() == np.reshape(want, (3, d)).tolist()
 
 
 class TestHolevo:
@@ -200,6 +212,9 @@ class TestChiQ:
             assert chi_q(e) == mixing_gain(e, lambda rho: subentropy(rho.spectrum))
         for rho in members:
             assert subentropy(rho.spectrum) == subentropy_one_spectrum(rho.spectrum.values)
+        stack = np.array([[rho.spectrum.values for rho in members]] * 2)
+        want = [subentropy_one_spectrum(rho.spectrum.values) for rho in members]
+        assert subentropies(stack).tolist() == [want, want]
 
 
 class TestQ2:
@@ -311,6 +326,40 @@ class TestChi2:
             mix = DensityOperator(d, lam * a.matrix + (1 - lam) * b.matrix)
             gap = lam * q2_purity(a) + (1 - lam) * q2_purity(b) - q2_purity(mix)
             assert gap < 1e-12
+
+    @pytest.mark.parametrize("d", [2, 4, 8, 16])
+    def test_stacks_round_as_the_vdot_formula(self, d):
+        rng = np.random.default_rng(d)
+        pairs = [(random_density(d, rng).matrix, random_density(d, rng).matrix) for _ in range(60)]
+        want = []
+        for a, b in pairs:
+            pa, pb = (float(np.sum(np.abs(m) ** 2)) for m in (a, b))
+            want.append(chi2_from_purities(pa, pb, (pa + pb + 2.0 * np.vdot(a, b).real) / 4.0, d))
+        stacked = np.array(pairs).swapaxes(0, 1).reshape(2, 3, 20, d, d)
+        assert exact_chi2_pair(stacked[0], stacked[1]).tolist() == np.reshape(want, (3, 20)).tolist()
+
+    def test_stacks_are_checked_as_a_density_operator_is(self):
+        rng = np.random.default_rng(5)
+        good = np.array([random_density(4, rng).matrix for _ in range(6)])
+        skew = good.copy()
+        skew[3, 0, 1] += 1e-3
+        heavy = good.copy()
+        heavy[2] *= 1.01
+        for bad, match in [(skew, "not Hermitian"), (heavy, "trace")]:
+            with pytest.raises(ValueError, match=match):
+                exact_chi2_pair(good, bad)
+            with pytest.raises(ValueError, match=match):
+                exact_chi2_pair(bad, good)
+        with pytest.raises(ValueError, match="shapes"):
+            exact_chi2_pair(good, good[:5])
+        with pytest.raises(ValueError, match="square"):
+            exact_chi2_pair(good[..., :3], good[..., :3])
+
+    def test_an_operator_and_a_matrix_give_the_pair_float(self):
+        rng = np.random.default_rng(6)
+        a, b = random_density(4, rng), random_density(4, rng)
+        got = exact_chi2_pair(a, b.matrix)
+        assert isinstance(got, float) and got == exact_chi2_pair(a, b) == exact_chi2_pair(a.matrix, b)
 
 
 class TestChi2FromPurities:

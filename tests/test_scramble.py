@@ -1,6 +1,7 @@
 """Scenario orchestration: anchors, symmetries, policies, cage comparison."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from scramblescope.models import (
     build_mbl,
     draw_disorder,
 )
-from scramblescope.qhilbert import PAULI_X, SiteSubset, basis_state, partial_trace
+from scramblescope.qhilbert import PAULI_X, SiteSubset, StateVector, basis_state, partial_trace
 from scramblescope.shadows import MoMConfig
 from scramblescope.scramble import (
     ScrambleScenario,
@@ -185,13 +186,16 @@ class TestExactGrid:
         assert np.all(chiq_row <= holevo_row + 1e-9)
 
     def test_three_eigensolves_per_time_and_subset(self, monkeypatch):
-        # one per reduced state and one for their average, shared by all metrics
-        calls = []
+        # one per reduced state and one for their average, shared by all
+        # metrics; a call on a (..., d, d) stack solves prod(...) matrices
+        solved = []
         eigvalsh = np.linalg.eigvalsh
-        monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: calls.append(1) or eigvalsh(m))
+        monkeypatch.setattr(
+            np.linalg, "eigvalsh", lambda m: solved.append(math.prod(np.shape(m)[:-2])) or eigvalsh(m)
+        )
         s = scenario(kind="TFIM", L=4, times=(0.0, 0.5, 1.0))
         exact_metric_grid(s, metrics=("chi2", "holevo", "chi_q"))
-        assert len(calls) == 3 * len(s.time_grid) * len(qualifying_subsets(4, 2, "windows_containing_x"))
+        assert sum(solved) == 3 * len(s.time_grid) * len(qualifying_subsets(4, 2, "windows_containing_x"))
 
     def test_all_subsets_single_column(self):
         s = scenario(kind="TFIM", L=5, times=(0.0,))
@@ -368,3 +372,57 @@ class TestSectorRoute:
             for subset in qualifying_subsets(10, 2, "all_subsets"):
                 diff = metrics(sector, t, subset) - metrics(full, t, subset)
                 assert np.max(np.abs(diff)) <= 1e-12
+
+
+class TestStackedExactLayer:
+    """_exact_metrics measures a time point's subsets as stacks; each value
+    must equal, bit for bit, the per-pair route through the validated types."""
+
+    @staticmethod
+    def per_pair(pair, subsets):
+        out = []
+        for subset in subsets:
+            rho1, rho2 = (partial_trace(psi, subset) for psi in pair)
+            ens = Ensemble(rho1, rho2)
+            out.append([exact_chi2_pair(rho1, rho2), holevo_chi(ens), chi_q(ens)])
+        return np.array(out).T
+
+    @pytest.mark.parametrize("policy", ["windows_containing_x", "all_subsets"])
+    @pytest.mark.parametrize("size", [1, 2, 3])
+    @pytest.mark.parametrize("kind", ["TFIM", "PXP", "MBL"])
+    def test_equals_the_per_pair_route_bitwise(self, monkeypatch, kind, size, policy):
+        s = scenario(kind=kind, L=8, size=size)
+        subsets = qualifying_subsets(8, size, policy)
+        # five subsets per chunk: every case spans several chunks and a remainder
+        d = 2**size
+        budget = 5 * scramble._subset_bytes(8, d, scramble.METRIC_NAMES) + 1
+        monkeypatch.setattr(scramble, "_CHUNK_BYTES", budget)
+        chunks = []
+        stacked = scramble._stacked_metrics
+        monkeypatch.setattr(
+            scramble, "_stacked_metrics", lambda a, k, r, m: chunks.append(len(k)) or stacked(a, k, r, m)
+        )
+        offsets = scramble._subset_offsets(8, subsets)
+        states = scramble._trajectory(build_hamiltonian(s.model), prepare_ensemble(s), (0.0, 1.7, 9.0))
+        for pair in states:
+            want = self.per_pair(pair, subsets)
+            chunks.clear()
+            got = scramble._exact_metrics(pair, offsets, scramble.METRIC_NAMES)
+            assert got.tobytes() == want.tobytes()
+            assert len(chunks) > 1 and chunks[:-1] == [5] * (len(chunks) - 1) and 0 < chunks[-1] < 5
+            chi2_only = scramble._exact_metrics(pair, offsets)
+            assert chi2_only.tobytes() == want[:1].tobytes()
+
+    def test_memory_of_every_six_site_subset_at_twelve_sites_stays_in_the_chunk_budget(self):
+        # 924 subsets: measured as one stack, they peak at 1.0 GiB
+        rng = np.random.default_rng(12)
+        amps = rng.normal(size=(2, 2**12)) + 1j * rng.normal(size=(2, 2**12))
+        pair = [StateVector(12, a / np.linalg.norm(a)) for a in amps]
+        offsets = scramble._subset_offsets(12, qualifying_subsets(12, 6, "all_subsets"))
+        tracemalloc.start()
+        try:
+            scramble._exact_metrics(pair, offsets, scramble.METRIC_NAMES)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= scramble._CHUNK_BYTES
