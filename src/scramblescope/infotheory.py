@@ -12,6 +12,7 @@ eigenvalues need no special case.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -32,56 +33,43 @@ SUBENTROPY_NODES = _SUB_S.size
 
 @dataclass(frozen=True)
 class Ensemble:
-    """Equal-weight pair of density operators on a common space."""
+    """Equal-weight pair of density operators on a common space, or of two
+    stacks of one shape, paired member by member."""
 
     first: DensityOperator
     second: DensityOperator
     average: DensityOperator = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.first.dim != self.second.dim:
-            raise ValueError("both ensemble members must share one dimension")
+        if self.first.matrix.shape != self.second.matrix.shape:
+            raise ValueError("both ensemble members must share one shape")
         avg = 0.5 * self.first.matrix + 0.5 * self.second.matrix
         object.__setattr__(self, "average", DensityOperator(self.first.dim, avg))
 
 
-def entropies(values: np.ndarray) -> np.ndarray:
-    """-sum w ln w of each spectrum in a (..., d) stack, with 0 ln 0 := 0.
+def von_neumann(rho: DensityOperator) -> float | np.ndarray:
+    """-Tr(rho ln rho) in nats, with the 0 ln 0 := 0 convention: a float for
+    one operator, an array of the stack's leading shape for a stack.
 
     The spectra are checked ones, clipped at 0 and sorted in descending
     order, so each row's positive values lead it. Rows with the same number
     n of them are summed together over their first n values alone, as a
     single row is: a sum padded with zeros may round differently.
     """
+    values = rho.spectrum.values
     w = values.reshape(-1, values.shape[-1])
-    n_pos = np.count_nonzero(w > 0.0, axis=1)
+    n_pos = (w > 0.0).sum(axis=1)
     out = np.empty(len(w))
     for n in set(n_pos.tolist()):
         rows = n_pos == n
         nz = w[rows, :n]
         out[rows] = -(nz * np.log(nz)).sum(axis=1)
-    return out.reshape(values.shape[:-1])
+    return float(out[0]) if values.ndim == 1 else out.reshape(values.shape[:-1])
 
 
-def von_neumann(rho: DensityOperator) -> float:
-    """-Tr(rho ln rho) in nats, with the 0 ln 0 := 0 convention."""
-    return float(entropies(rho.spectrum.values))
-
-
-def pair_gain(values: np.ndarray) -> np.ndarray:
-    """A quantity of the average state minus its mean over the two members,
-    given its values on (first, second, average) stacked on axis 0."""
-    return values[2] - (0.5 * values[0] + 0.5 * values[1])
-
-
-def _spectra(e: Ensemble) -> np.ndarray:
-    """(3, d) spectra of the first member, the second and their average."""
-    return np.array([rho.spectrum.values for rho in (e.first, e.second, e.average)])
-
-
-def holevo_chi(e: Ensemble) -> float:
+def holevo_chi(e: Ensemble) -> float | np.ndarray:
     """Entropy of the average state minus the average member entropy."""
-    return float(pair_gain(entropies(_spectra(e))))
+    return von_neumann(e.average) - (0.5 * von_neumann(e.first) + 0.5 * von_neumann(e.second))
 
 
 # ---------------------------------------------------------------------------
@@ -89,33 +77,29 @@ def holevo_chi(e: Ensemble) -> float:
 # gap-free forms (an integral and a divided-difference recurrence).
 
 
-def subentropies(values: np.ndarray) -> np.ndarray:
-    """Subentropy of each spectrum in a (..., d) stack.
-
-    All rows share one log1p/expm1 pass. Each row then takes its dot
-    product with the weights as a (1, n) @ (n, 1) matmul, which rounds as
-    the single-row dot does; a stacked matrix-vector product may not.
-    """
-    lam = values / values.sum(axis=-1, keepdims=True)
-    d = _SUB_LOG1P_INV_S - np.log1p(lam[..., None] * _SUB_INV_S).sum(axis=-2)
-    return 0.0 - (np.expm1(d)[..., None, :] @ _SUB_W[:, None])[..., 0, 0]  # a pure state gives +0.0
-
-
-def subentropy(spec: Spectrum) -> float:
-    """Spectral lower bound on accessible information, in nats.
+def subentropy(spec: Spectrum) -> float | np.ndarray:
+    """Spectral lower bound on accessible information, in nats: a float for
+    one spectrum, an array of the stack's leading shape for a stack.
 
     Q = -sum_k l_k^n ln l_k / prod_{j != k} (l_k - l_j) equals, for a unit
     trace spectrum, -int_0^inf g(s) ds with
         g(s) = prod_j s / (l_j + s) - s / (1 + s),
     which has no eigenvalue gaps in it. The integral is a trapezoid sum in
     u = ln s, with g(s) = s/(1+s) expm1(log1p(1/s) - sum_j log1p(l_j/s)).
+    All rows share one log1p/expm1 pass. Each row then takes its dot
+    product with the weights as a (1, n) @ (n, 1) matmul, which rounds as
+    the single-row dot does; a stacked matrix-vector product may not.
     """
-    return float(subentropies(spec.values))
+    lam = spec.values / spec.values.sum(axis=-1, keepdims=True)
+    d = _SUB_LOG1P_INV_S - np.log1p(lam[..., None] * _SUB_INV_S).sum(axis=-2)
+    q = 0.0 - (np.expm1(d)[..., None, :] @ _SUB_W[:, None])[..., 0, 0]  # a pure state gives +0.0
+    return float(q) if q.ndim == 0 else q
 
 
-def chi_q(e: Ensemble) -> float:
+def chi_q(e: Ensemble) -> float | np.ndarray:
     """Subentropy of the average state minus the average member subentropy."""
-    return float(pair_gain(subentropies(_spectra(e))))
+    s = [subentropy(rho.spectrum) for rho in (e.first, e.second, e.average)]
+    return s[2] - (0.5 * s[0] + 0.5 * s[1])
 
 
 def q2_from_purity_value(p: float) -> float:
@@ -124,6 +108,8 @@ def q2_from_purity_value(p: float) -> float:
 
 def q2_purity(rho: DensityOperator) -> float:
     """Randomized-basis information measure ln(2 / (1 + Tr rho^2))."""
+    if rho.matrix.ndim != 2:
+        raise ValueError("the purity route takes one operator, not a stack")
     return q2_from_purity_value(purity(rho))
 
 
@@ -136,6 +122,8 @@ def q2_spectral(spec: Spectrum) -> float:
     through n+1 steps adds only non-negative terms and has no gaps in it, so
     degenerate and zero eigenvalues need no special case.
     """
+    if spec.values.ndim != 1:
+        raise ValueError("the expansion takes one spectrum, not a stack")
     lam = spec.values
     row = np.zeros_like(lam)
     row[0] = 1.0
@@ -147,12 +135,14 @@ def q2_spectral(spec: Spectrum) -> float:
 
 def q2_contour(spec: Spectrum, radius: float = 2.0, n_nodes: int = 256) -> float:
     """Same measure via trapezoid quadrature of the contour representation."""
-    if n_nodes < 64:
-        raise ValueError("need at least 64 quadrature nodes")
-    vals = np.asarray(spec.values, dtype=float)
-    if radius <= np.max(vals):
+    if not isinstance(n_nodes, numbers.Integral) or n_nodes < 64:
+        raise ValueError(f"need a whole number of at least 64 quadrature nodes, got {n_nodes}")
+    if spec.values.ndim != 1:
+        raise ValueError("the contour takes one spectrum, not a stack")
+    vals = spec.values
+    if not vals[0] < radius < math.inf:  # written so that NaN fails it
         raise ValueError(
-            f"contour radius {radius} must exceed the largest eigenvalue {np.max(vals)}"
+            f"contour radius {radius} must be finite and exceed the largest eigenvalue {vals[0]}"
         )
     theta = 2.0 * np.pi * np.arange(n_nodes) / n_nodes
     z = radius * np.exp(1j * theta)
@@ -254,6 +244,8 @@ def haar_moment_mc(
     """
     if n_samples < HAAR_MIN_SAMPLES:
         raise ValueError(f"need at least {HAAR_MIN_SAMPLES} samples for a stable estimate")
+    if rho.matrix.ndim != 2:
+        raise ValueError("the Haar sampler takes one operator, not a stack")
     d = rho.dim
     w, v = np.linalg.eigh(rho.matrix)
     psi = v[:, -1]  # any fixed pure state works; Haar averaging erases the choice

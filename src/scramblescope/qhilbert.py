@@ -99,7 +99,8 @@ class SiteSubset:
 
 @dataclass(frozen=True)
 class DensityOperator:
-    """Hermitian, unit-trace, positive-semidefinite operator on a subsystem.
+    """Hermitian, unit-trace, positive-semidefinite operator on a subsystem,
+    or a (..., dim, dim) stack of them, each checked alone.
 
     Its spectrum is built at construction, and building it is the
     positivity check.
@@ -112,15 +113,20 @@ class DensityOperator:
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=complex)
         object.__setattr__(self, "matrix", m)
-        if m.shape != (self.dim, self.dim):
+        if m.shape[-2:] != (self.dim, self.dim):
             raise ValueError(f"matrix shape {m.shape} does not match dim {self.dim}")
-        check_density(m)
-        object.__setattr__(self, "spectrum", Spectrum(np.linalg.eigvalsh(m)[::-1]))
+        if not abs(m - m.conj().swapaxes(-1, -2)).max() <= HERM_ATOL:  # NaN fails it
+            raise ValueError("operator is not Hermitian")
+        tr = m.trace(axis1=-2, axis2=-1).real
+        if not abs(tr - 1.0).max() <= HERM_ATOL:
+            raise ValueError(f"density matrix trace {tr} != 1")
+        object.__setattr__(self, "spectrum", Spectrum(np.linalg.eigvalsh(m)[..., ::-1]))
 
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Eigenvalues of a density operator, sorted in descending order.
+    """Eigenvalues of a density operator, sorted in descending order, or a
+    (..., d) stack of them, one per row.
 
     Values below -EIG_ATOL are refused; the round-off above it that lies
     below 0 is clipped to 0.
@@ -130,43 +136,16 @@ class Spectrum:
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=float)
-        if v.ndim != 1 or v.size == 0:
-            raise ValueError("spectrum must be a nonempty 1-D array")
-        values = _check_spectra(v)
-        if (v[1:] > v[:-1]).any():
+        if v.ndim == 0 or v.size == 0:
+            raise ValueError("spectrum must be a nonempty array")
+        total = v.sum(axis=-1)
+        if not abs(total - 1.0).max() <= 1e-8:  # a nan or inf entry fails it too
+            raise ValueError(f"spectrum sums to {total}, expected 1")
+        if v.min() < -EIG_ATOL or v.max() > 1.0 + EIG_ATOL:
+            raise ValueError(f"eigenvalues outside [0, 1]: {v}")
+        if (v[..., 1:] > v[..., :-1]).any():
             raise ValueError("spectrum must be sorted in descending order")
-        object.__setattr__(self, "values", values)
-
-
-def _check_spectra(v: np.ndarray) -> np.ndarray:
-    """Refuse any spectrum in the (..., d) stack v that is not finite, has a
-    value outside [-EIG_ATOL, 1 + EIG_ATOL] or does not sum to 1; return the
-    stack with the round-off below 0 clipped to 0."""
-    total = v.sum(axis=-1)
-    if not np.isfinite(total).all():  # any nan or inf entry makes its sum non-finite
-        raise ValueError(f"spectrum has non-finite values: {v}")
-    if v.min() < -EIG_ATOL or v.max() > 1.0 + EIG_ATOL:
-        raise ValueError(f"eigenvalues outside [0, 1]: {v}")
-    if (abs(total - 1.0) > 1e-8).any():
-        raise ValueError(f"spectrum sums to {total}, expected 1")
-    return np.maximum(v, 0.0)
-
-
-def check_density(m: np.ndarray) -> None:
-    """Refuse a (..., d, d) stack holding a matrix that is not Hermitian or
-    not of unit trace."""
-    if not abs(m - m.conj().swapaxes(-1, -2)).max() <= HERM_ATOL:  # NaN fails it
-        raise ValueError("operator is not Hermitian")
-    tr = np.trace(m, axis1=-2, axis2=-1).real
-    if not (abs(tr - 1.0) <= HERM_ATOL).all():
-        raise ValueError(f"density matrix trace {tr} != 1")
-
-
-def density_spectra(m: np.ndarray) -> np.ndarray:
-    """Checked spectra of a (..., d, d) stack that passed check_density: one
-    stacked eigvalsh, each row sorted in descending order and clipped at 0,
-    as a DensityOperator's spectrum is."""
-    return _check_spectra(np.linalg.eigvalsh(m)[..., ::-1])
+        object.__setattr__(self, "values", np.maximum(v, 0.0))
 
 
 # Most sites of a reduced density matrix: a whole-chain grid peaked at 425 MiB
@@ -221,12 +200,9 @@ def partial_trace(state: StateVector, keep: SiteSubset) -> DensityOperator:
     return DensityOperator(d, reduced_matrices(mat))
 
 
-def purities(m: np.ndarray) -> np.ndarray:
-    """Tr(rho^2) of each matrix of a (..., d, d) stack via the squared
-    Frobenius norm (Hermitian shortcut)."""
-    return (abs(m.reshape(*m.shape[:-2], -1)) ** 2).sum(axis=-1)
-
-
-def purity(rho: DensityOperator) -> float:
-    """Tr(rho^2) via the squared Frobenius norm (Hermitian shortcut)."""
-    return float(purities(rho.matrix))
+def purity(rho: DensityOperator) -> float | np.ndarray:
+    """Tr(rho^2) via the squared Frobenius norm (Hermitian shortcut): a float
+    for one operator, an array of the stack's leading shape for a stack."""
+    m = rho.matrix
+    p = (abs(m.reshape(*m.shape[:-2], -1)) ** 2).sum(axis=-1)
+    return float(p) if p.ndim == 0 else p

@@ -14,17 +14,15 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .evolve import evolve, make_propagator
-from .infotheory import SUBENTROPY_NODES, chi2_from_purities, entropies, pair_gain, subentropies
+from .infotheory import SUBENTROPY_NODES, Ensemble, chi2_from_purities, chi_q, holevo_chi
 from .models import ModelSpec, build_hamiltonian
 from .qhilbert import (
     DensityOperator,
     SiteSubset,
     StateVector,
     basis_state,
-    check_density,
     check_reduced_sites,
-    density_spectra,
-    purities,
+    purity,
     reduced_matrices,
     reduced_offsets,
 )
@@ -149,39 +147,25 @@ def qualifying_subsets(L: int, k: int, policy: str) -> list[SiteSubset]:
     raise ValueError(f"unknown subset policy {policy!r}")
 
 
-def exact_chi2_pair(rho1: DensityOperator | np.ndarray, rho2: DensityOperator | np.ndarray):
+def exact_chi2_pair(rho1: DensityOperator, rho2: DensityOperator) -> float | np.ndarray:
     """chi2 of an equal-weight pair, from its two purities and their overlap.
 
-    Takes two DensityOperators, or two (..., d, d) stacks of density
-    matrices of one shape, and gives a float for one pair or an array of the
-    stacks' leading shape. A stack is checked as a DensityOperator is,
-    Hermitian with unit trace, but not for positivity, which needs its
-    spectrum: chi2 reads only the purities and the overlap.
+    Takes two DensityOperators, or two stacks of one shape paired member by
+    member, and gives a float for one pair or an array of the stacks'
+    leading shape.
     """
-    m1, m2 = (_checked_matrices(rho) for rho in (rho1, rho2))
+    m1, m2 = rho1.matrix, rho2.matrix
     if m1.shape != m2.shape:
         raise ValueError(f"density matrix shapes {m1.shape} and {m2.shape} differ")
-    d = m1.shape[-1]
-    p1, p2 = purities(m1), purities(m2)
+    d = rho1.dim
+    p1, p2 = purity(rho1), purity(rho2)
     # each (1, d^2) @ (d^2, 1) product rounds as np.vdot of the two matrices does
     overlap = (m1.reshape(*m1.shape[:-2], 1, d * d).conj() @ m2.reshape(*m2.shape[:-2], d * d, 1)).real
     p_mix = (p1 + p2 + 2.0 * overlap[..., 0, 0]) / 4.0
     # math.log per value: a vectorised np.log may round differently
-    purity_triples = zip(p1.ravel().tolist(), p2.ravel().tolist(), p_mix.ravel().tolist())
+    purity_triples = zip(*(np.ravel(p).tolist() for p in (p1, p2, p_mix)))
     chi2 = [chi2_from_purities(a, b, mix, d) for a, b, mix in purity_triples]
-    return chi2[0] if p1.ndim == 0 else np.reshape(chi2, p1.shape)
-
-
-def _checked_matrices(rho: DensityOperator | np.ndarray) -> np.ndarray:
-    """The matrix of a DensityOperator, or a (..., d, d) stack that passes
-    check_density."""
-    if isinstance(rho, DensityOperator):
-        return rho.matrix
-    m = np.asarray(rho, dtype=complex)
-    if m.ndim < 2 or m.shape[-2] != m.shape[-1]:
-        raise ValueError(f"an array of shape {m.shape} is not a stack of square matrices")
-    check_density(m)
-    return m
+    return chi2[0] if m1.ndim == 2 else np.reshape(chi2, m1.shape[:-2])
 
 
 # Most bytes that one chunk of subsets may take in _exact_metrics, which
@@ -194,8 +178,8 @@ def _subset_bytes(n_sites: int, d: int, metrics) -> int:
     """Bytes that one subset adds to a chunk, at most: its gather index and
     both gathered states with their conjugates (72 bytes per amplitude),
     twelve complex d x d matrices for its three reduced states and the
-    temporaries of checking and solving them, and chi_q's two (3, d, nodes)
-    integrand arrays."""
+    temporaries of checking and solving them, and chi_q's two (d, nodes)
+    integrand arrays for each of its three spectra."""
     return 72 * 2**n_sites + 16 * 12 * d * d + ("chi_q" in metrics) * 2 * 8 * 3 * d * SUBENTROPY_NODES
 
 
@@ -215,22 +199,19 @@ def _subset_offsets(n_sites: int, subsets) -> tuple[np.ndarray, np.ndarray]:
 def _stacked_metrics(amplitudes: np.ndarray, kept: np.ndarray, rest: np.ndarray, metrics) -> np.ndarray:
     """(metric, subset) exact values from a (2, 2^n) stack of the pair's
     amplitudes and the subsets' reduced_offsets. Both members' reduced
-    states, and their average when a spectral metric needs it, are formed,
-    checked and solved as one stack."""
+    states are formed in one gather and checked as two stacked
+    DensityOperators; their Ensemble is built only for a spectral metric."""
     rho = reduced_matrices(np.take(amplitudes, kept[:, :, None] + rest[:, None, :], axis=-1))
+    rho1, rho2 = (DensityOperator(kept.shape[1], m) for m in rho)
     values = {}
     if "chi2" in metrics:
-        values["chi2"] = exact_chi2_pair(rho[0], rho[1])  # which checks both members' stacks
-    else:
-        check_density(rho)
+        values["chi2"] = exact_chi2_pair(rho1, rho2)
     if "holevo" in metrics or "chi_q" in metrics:
-        # the average of two stacks that passed check_density passes it too
-        rho = np.concatenate([rho, (0.5 * rho[0] + 0.5 * rho[1])[None]])
-    spectra = density_spectra(rho)
-    if "holevo" in metrics:
-        values["holevo"] = pair_gain(entropies(spectra))
-    if "chi_q" in metrics:
-        values["chi_q"] = pair_gain(subentropies(spectra))
+        ens = Ensemble(rho1, rho2)
+        if "holevo" in metrics:
+            values["holevo"] = holevo_chi(ens)
+        if "chi_q" in metrics:
+            values["chi_q"] = chi_q(ens)
     return np.array([values[m] for m in metrics])
 
 

@@ -9,6 +9,7 @@ between snapshot pairs, robustly aggregated by median-of-means.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -127,6 +128,8 @@ class MoMConfig:
     batch_size: int
 
     def __post_init__(self):
+        if not all(isinstance(n, numbers.Integral) for n in (self.n_batches, self.batch_size)):
+            raise ValueError(f"batch counts must be whole numbers: {self.n_batches}, {self.batch_size}")
         # The same-set U-statistic pairs distinct snapshots of one batch.
         if self.n_batches < 1 or self.batch_size < 2:
             raise ValueError(

@@ -15,6 +15,7 @@ from scipy.stats import unitary_group
 
 import scramblescope
 from scramblescope.infotheory import (
+    HAAR_MIN_SAMPLES,
     _SUB_INV_S,
     _SUB_LOG1P_INV_S,
     _SUB_W,
@@ -22,7 +23,6 @@ from scramblescope.infotheory import (
     _haar_unitaries,
     chi2_from_purities,
     chi_q,
-    entropies,
     haar_moment_mc,
     holevo_chi,
     q2_contour,
@@ -31,7 +31,6 @@ from scramblescope.infotheory import (
     q2_spectral,
     random_density,
     random_spectrum,
-    subentropies,
     subentropy,
     von_neumann,
 )
@@ -118,14 +117,27 @@ class TestVonNeumann:
     def test_stack_sums_each_row_over_its_positive_values_alone(self, d):
         # a row padded with zeros into a wider sum may round differently
         rng = np.random.default_rng(d)
-        stack = np.zeros((3, d, d))
-        for row, n in zip(stack.reshape(-1, d), itertools.cycle(range(1, d + 1))):
-            row[:n] = np.sort(rng.dirichlet(np.ones(n)))[::-1]
-        want = [-(w[w > 0] * np.log(w[w > 0])).sum() for w in stack.reshape(-1, d)]
-        assert entropies(stack).tolist() == np.reshape(want, (3, d)).tolist()
+        diagonals = np.zeros((3, d, d))
+        for row, n in zip(diagonals.reshape(-1, d), itertools.cycle(range(1, d + 1))):
+            row[:n] = rng.dirichlet(np.ones(n))
+        rho = DensityOperator(d, diagonals[..., None] * np.eye(d))
+        spectra = rho.spectrum.values.reshape(-1, d)
+        assert len({np.count_nonzero(w) for w in spectra}) == d  # every count of zeros occurs
+        want = [-(w[w > 0] * np.log(w[w > 0])).sum() for w in spectra]
+        assert von_neumann(rho).tolist() == np.reshape(want, (3, d)).tolist()
 
 
 class TestHolevo:
+    def test_a_stacked_ensemble_gives_each_pairs_value(self):
+        rng = np.random.default_rng(10)
+        pairs = [(random_density(4, rng), random_density(4, rng)) for _ in range(6)]
+        first, second = (DensityOperator(4, [p[i].matrix for p in pairs]) for i in (0, 1))
+        stacked = Ensemble(first, second)
+        for f in (holevo_chi, chi_q):
+            assert f(stacked).tolist() == [f(Ensemble(a, b)) for a, b in pairs]
+        with pytest.raises(ValueError, match="one shape"):
+            Ensemble(first, DensityOperator(4, second.matrix[:5]))
+
     def test_orthogonal_pure_pair(self):
         e = Ensemble(pure_density([1, 0]), pure_density([0, 1]))
         assert abs(holevo_chi(e) - math.log(2)) < 1e-12
@@ -212,9 +224,9 @@ class TestChiQ:
             assert chi_q(e) == mixing_gain(e, lambda rho: subentropy(rho.spectrum))
         for rho in members:
             assert subentropy(rho.spectrum) == subentropy_one_spectrum(rho.spectrum.values)
-        stack = np.array([[rho.spectrum.values for rho in members]] * 2)
+        stack = DensityOperator(d, [[rho.matrix for rho in members]] * 2)
         want = [subentropy_one_spectrum(rho.spectrum.values) for rho in members]
-        assert subentropies(stack).tolist() == [want, want]
+        assert subentropy(stack.spectrum).tolist() == [want, want]
 
 
 class TestQ2:
@@ -301,6 +313,24 @@ class TestQ2:
         with pytest.raises(ValueError):
             q2_contour(Spectrum([0.9, 0.1]), n_nodes=16)
 
+    def test_contour_rejects_a_fractional_node_count(self):
+        # 100.5 nodes would give 0.24655 for ln(4/3) = 0.28768
+        with pytest.raises(ValueError, match="whole number"):
+            q2_contour(Spectrum([0.5, 0.5]), 2.0, 100.5)
+
+    def test_one_state_routes_refuse_a_stack(self):
+        stack = Spectrum([[0.5, 0.5], [0.9, 0.1]])
+        with pytest.raises(ValueError, match="not a stack"):
+            q2_spectral(stack)
+        with pytest.raises(ValueError, match="not a stack"):
+            q2_contour(stack)
+        # a stacked operator used to fail in math.log and in einsum
+        rho = DensityOperator(2, [np.eye(2) / 2, np.diag([0.9, 0.1])])
+        with pytest.raises(ValueError, match="not a stack"):
+            q2_purity(rho)
+        with pytest.raises(ValueError, match="not a stack"):
+            haar_moment_mc(rho, HAAR_MIN_SAMPLES, np.random.default_rng(0))
+
     def test_purity_route_matches(self):
         rho = random_density(5, np.random.default_rng(6))
         ref = q2_purity(rho)
@@ -336,7 +366,8 @@ class TestChi2:
             pa, pb = (float(np.sum(np.abs(m) ** 2)) for m in (a, b))
             want.append(chi2_from_purities(pa, pb, (pa + pb + 2.0 * np.vdot(a, b).real) / 4.0, d))
         stacked = np.array(pairs).swapaxes(0, 1).reshape(2, 3, 20, d, d)
-        assert exact_chi2_pair(stacked[0], stacked[1]).tolist() == np.reshape(want, (3, 20)).tolist()
+        got = exact_chi2_pair(DensityOperator(d, stacked[0]), DensityOperator(d, stacked[1]))
+        assert got.tolist() == np.reshape(want, (3, 20)).tolist()
 
     def test_stacks_are_checked_as_a_density_operator_is(self):
         rng = np.random.default_rng(5)
@@ -345,21 +376,25 @@ class TestChi2:
         skew[3, 0, 1] += 1e-3
         heavy = good.copy()
         heavy[2] *= 1.01
-        for bad, match in [(skew, "not Hermitian"), (heavy, "trace")]:
+        # Hermitian with unit trace, but one eigenvalue is -0.1
+        negative = good.copy()
+        u = unitary_group.rvs(4, random_state=rng)
+        negative[1] = u @ np.diag([0.6, 0.3, 0.2, -0.1]) @ u.conj().T
+        negative[1] = 0.5 * (negative[1] + negative[1].conj().T)
+        for bad, match in [(skew, "not Hermitian"), (heavy, "trace"), (negative, "eigenvalues outside")]:
             with pytest.raises(ValueError, match=match):
-                exact_chi2_pair(good, bad)
-            with pytest.raises(ValueError, match=match):
-                exact_chi2_pair(bad, good)
+                DensityOperator(4, bad)
         with pytest.raises(ValueError, match="shapes"):
-            exact_chi2_pair(good, good[:5])
-        with pytest.raises(ValueError, match="square"):
-            exact_chi2_pair(good[..., :3], good[..., :3])
+            exact_chi2_pair(DensityOperator(4, good), DensityOperator(4, good[:5]))
+        with pytest.raises(ValueError, match="does not match dim"):
+            DensityOperator(4, good[..., :3])
 
-    def test_an_operator_and_a_matrix_give_the_pair_float(self):
+    def test_a_pair_gives_a_float_and_a_stack_of_one_an_array(self):
         rng = np.random.default_rng(6)
         a, b = random_density(4, rng), random_density(4, rng)
-        got = exact_chi2_pair(a, b.matrix)
-        assert isinstance(got, float) and got == exact_chi2_pair(a, b) == exact_chi2_pair(a.matrix, b)
+        got = exact_chi2_pair(a, b)
+        stacked = exact_chi2_pair(DensityOperator(4, a.matrix[None]), DensityOperator(4, b.matrix[None]))
+        assert isinstance(got, float) and stacked.shape == (1,) and stacked[0] == got
 
 
 class TestChi2FromPurities:

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from scramblescope.evolve import make_propagator
+from scramblescope.infotheory import q2_contour
 from scramblescope.models import DisorderRealization, ModelSpec, build_tfim, draw_disorder
 from scramblescope import scramble
 from scramblescope.qhilbert import DensityOperator, Spectrum, StateVector, reduced_offsets
@@ -25,8 +26,10 @@ CASES = {
         np.full((2, 4), NAN, dtype=complex), *reduced_offsets(2, np.array([[0], [1]])), METRIC_NAMES
     ),
     "chi2_stack": lambda: scramble.exact_chi2_pair(
-        np.full((3, 2, 2), NAN, dtype=complex), np.tile(np.eye(2, dtype=complex) / 2, (3, 1, 1))
+        DensityOperator(2, np.full((3, 2, 2), NAN)), DensityOperator(2, np.tile(np.eye(2) / 2, (3, 1, 1)))
     ),
+    "contour_radius": lambda: q2_contour(Spectrum([0.5, 0.5]), NAN),
+    "contour_radius_inf": lambda: q2_contour(Spectrum([0.5, 0.5]), INF),
     "spectrum_inf": lambda: Spectrum([INF, 0.0]),
     "make_propagator": lambda: make_propagator(build_tfim(2, J=1j)),
     "disorder_fields": lambda: DisorderRealization(np.array([NAN, 0.5]), 0, 8.0),

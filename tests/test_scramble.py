@@ -413,6 +413,26 @@ class TestStackedExactLayer:
             chi2_only = scramble._exact_metrics(pair, offsets)
             assert chi2_only.tobytes() == want[:1].tobytes()
 
+    def test_a_chi2_only_stack_refuses_a_member_with_a_negative_eigenvalue(self, monkeypatch):
+        # one reduced state is swapped for a Hermitian, unit-trace matrix with
+        # eigenvalue -0.1: chi2 alone does not read the spectrum, yet it is checked
+        rng = np.random.default_rng(4)
+        u = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))[0]
+        bad = u @ np.diag([0.6, 0.3, 0.2, -0.1]) @ u.conj().T
+        formed = scramble.reduced_matrices
+
+        def with_bad_member(m):
+            rho = formed(m)
+            rho[1, 2] = 0.5 * (bad + bad.conj().T)
+            return rho
+
+        monkeypatch.setattr(scramble, "reduced_matrices", with_bad_member)
+        pair = prepare_ensemble(scenario(kind="TFIM", L=6))
+        amplitudes = np.array([psi.amplitudes for psi in pair])
+        offsets = scramble._subset_offsets(6, qualifying_subsets(6, 2, "windows_containing_x"))
+        with pytest.raises(ValueError, match="eigenvalues outside"):
+            scramble._stacked_metrics(amplitudes, *offsets, ("chi2",))
+
     def test_memory_of_every_six_site_subset_at_twelve_sites_stays_in_the_chunk_budget(self):
         # 924 subsets: measured as one stack, they peak at 1.0 GiB
         rng = np.random.default_rng(12)

@@ -479,3 +479,9 @@ class TestEstimatorRefusals:
         # a batch of one snapshot has no distinct pair for the purity
         with pytest.raises(ValueError, match="at least 2 snapshots"):
             MoMConfig(n_batches, batch_size)
+
+    @pytest.mark.parametrize("n_batches, batch_size", [(2.5, 10), (2, 10.0)])
+    def test_mom_refuses_counts_that_are_not_whole_numbers(self, n_batches, batch_size):
+        # 2.5 batches used to pass here and fail in the estimator, after sampling
+        with pytest.raises(ValueError, match="whole numbers"):
+            MoMConfig(n_batches, batch_size)
